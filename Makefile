@@ -12,12 +12,13 @@
 # recovery from injected shard panics, transient disk-fault runs that
 # must stay byte-identical, and a dead-disk run that must fail-stop),
 # syncvet flags journal Sync/Close calls whose error is silently
-# dropped (go vet does not: an expression statement is legal Go), and
+# dropped (go vet does not: an expression statement is legal Go),
+# fmtcheck fails when gofmt would rewrite any file, and
 # staticcheck runs when the tool is installed (it is skipped gracefully
 # otherwise — the build must not depend on network access).
-.PHONY: verify build vet test race bench obscheck fuzzsmoke serve-smoke trace-smoke crash-smoke syncvet staticcheck chaos profile
+.PHONY: verify build vet test race bench obscheck fuzzsmoke serve-smoke trace-smoke crash-smoke syncvet fmtcheck staticcheck chaos profile
 
-verify: build vet test race obscheck fuzzsmoke serve-smoke trace-smoke crash-smoke syncvet staticcheck
+verify: build vet test race obscheck fuzzsmoke serve-smoke trace-smoke crash-smoke syncvet fmtcheck staticcheck
 
 build:
 	go build ./...
@@ -73,6 +74,17 @@ syncvet:
 		exit 1; \
 	else \
 		echo "syncvet: internal/server Sync/Close errors all handled"; \
+	fi
+
+# fmtcheck lists every file gofmt would rewrite and fails if there is one.
+fmtcheck:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "fmtcheck: files need gofmt:"; \
+		echo "$$bad"; \
+		exit 1; \
+	else \
+		echo "fmtcheck: all files gofmt-clean"; \
 	fi
 
 staticcheck:

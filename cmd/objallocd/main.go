@@ -101,7 +101,7 @@ func run(args []string, ready chan<- string) error {
 		attempts     = fs.Int("attempts", 0, "retransmission cap per message (0 = default)")
 		seed         = fs.Int64("seed", 0, "fault-stream seed perturbation")
 		maxHAObjects = fs.Int("maxhaobjects", 64, "per-shard object cap under -engine ha")
-		journal      = fs.String("journal", "", "directory for per-shard request journals (group-committed once per service round)")
+		journal      = fs.String("journal", "", "directory for per-shard request journals (group-committed once per service round; directory engines only)")
 		recoverJ     = fs.Bool("recover", false, "replay the per-shard journals on startup (requires -journal)")
 		checkpoint   = fs.Int("checkpoint", 0, "journal checkpoint cadence in records, so replay is O(tail) (0 = default 1024)")
 		chaosPanic   = fs.Int64("chaos-panic", 0, "panic each shard loop after this many serviced requests, exercising the supervisor (0 disables)")
@@ -194,13 +194,13 @@ func run(args []string, ready chan<- string) error {
 		Shards: *shards, Queue: *queue, Batch: *batch,
 		Engine: eng, Adaptive: aspec, N: *n, T: *t, Model: m,
 		Coalesce: mode, Seed: *seed,
-		Faults:   planPtr,
-		Retry:    netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
-		Journal:  *journal, MaxHAObjects: *maxHAObjects,
+		Faults:  planPtr,
+		Retry:   netsim.RetryPolicy{Disabled: *noretry, MaxAttempts: *attempts},
+		Journal: *journal, MaxHAObjects: *maxHAObjects,
 		Recover: *recoverJ, CheckpointEvery: *checkpoint,
 		PanicAfter: *chaosPanic, DiskFaults: dplanPtr,
-		Obs:        cli.Obs(),
-		Trace:      tracer,
+		Obs:   cli.Obs(),
+		Trace: tracer,
 	})
 	if err != nil {
 		return err

@@ -109,4 +109,7 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-faults", "loss=2"}, nil); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
+	if err := run([]string{"-engine", "ha", "-journal", t.TempDir()}, nil); err == nil || !strings.Contains(err.Error(), "ha engine") {
+		t.Fatalf("journaled ha engine: err = %v, want the ha refusal", err)
+	}
 }

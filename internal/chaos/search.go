@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"objalloc/internal/engine"
+	"objalloc/internal/splitmix"
 )
 
 // Search runs count randomized variants of the base scenario in parallel
@@ -18,7 +19,7 @@ func Search(ctx context.Context, base Scenario, count, workers int) ([]Result, e
 	}
 	return engine.Collect(ctx, count, workers, func(_ context.Context, i int) (Result, error) {
 		variant := base
-		variant.Seed = splitmix64(base.Seed + uint64(i))
+		variant.Seed = splitmix.Mix(base.Seed + uint64(i))
 		variant.Faults.Seed = 0 // re-derive from the variant seed
 		return Run(variant, nil)
 	})

@@ -133,11 +133,3 @@ func Crossover(ctx context.Context, spec CrossoverSpec) (CrossoverResult, error)
 	}
 	return CrossoverResult{CC: cc, CD: (lo + hi) / 2}, nil
 }
-
-// CrossoverAt is the pre-engine positional form of Crossover.
-//
-// Deprecated: use Crossover with a CrossoverSpec and a context;
-// CrossoverAt runs with context.Background and default parallelism.
-func CrossoverAt(cc, cdMax float64, iters int, battery BatteryConfig) (CrossoverResult, error) {
-	return Crossover(context.Background(), CrossoverSpec{CC: cc, CDMax: cdMax, Iters: iters, Battery: battery})
-}

@@ -199,32 +199,3 @@ func TestSearchAndFitPreCancelled(t *testing.T) {
 		t.Error("FitAsymptotic accepted a cancelled context")
 	}
 }
-
-// The deprecated positional wrappers must keep producing the same results
-// as the spec forms they delegate to.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	battery := BatteryConfig{N: 4, T: 2, RandomSchedules: 1, RandomLength: 10, NemesisRounds: 8, Seed: 11}
-	oldPoints, err := SweepGrid([]float64{0.5, 1.5}, []float64{0.2}, false, battery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPoints, err := Sweep(context.Background(), SweepSpec{CDs: []float64{0.5, 1.5}, CCs: []float64{0.2}, Battery: battery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", oldPoints) != fmt.Sprintf("%+v", newPoints) {
-		t.Error("SweepGrid disagrees with Sweep")
-	}
-
-	oldCr, err := CrossoverAt(0.2, 2.0, 6, battery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCr, err := Crossover(context.Background(), CrossoverSpec{CC: 0.2, CDMax: 2.0, Iters: 6, Battery: battery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldCr != newCr {
-		t.Errorf("CrossoverAt %+v disagrees with Crossover %+v", oldCr, newCr)
-	}
-}

@@ -251,11 +251,3 @@ func emitSweep(o *obs.Obs, points []GridPoint) {
 		o.Counter("sweep.cells." + p.Empirical.String()).Inc()
 	}
 }
-
-// SweepGrid is the pre-engine positional form of Sweep.
-//
-// Deprecated: use Sweep with a SweepSpec and a context; SweepGrid runs
-// with context.Background and default parallelism.
-func SweepGrid(cds, ccs []float64, mobile bool, battery BatteryConfig) ([]GridPoint, error) {
-	return Sweep(context.Background(), SweepSpec{CDs: cds, CCs: ccs, Mobile: mobile, Battery: battery})
-}

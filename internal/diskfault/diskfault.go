@@ -15,7 +15,7 @@
 //     DROPS the dirty (unsynced) bytes — the page cache marked them
 //     clean on error, exactly the Postgres-discovered kernel behavior —
 //     and poisons the handle, so the only safe continuation is discard
-//     + reopen + rebuild from the durable prefix. A retried fsync on
+//   - reopen + rebuild from the durable prefix. A retried fsync on
 //     the poisoned handle fails with ErrSyncRetried rather than
 //     silently "succeeding", which is how the harness proves the
 //     caller never trusts a post-failure fsync.
@@ -38,6 +38,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"objalloc/internal/splitmix"
 )
 
 // Injected fault sentinels. Callers match with errors.Is; every injected
@@ -291,7 +293,7 @@ func (p *Plan) Injector(shard int) *Injector {
 		return nil
 	}
 	seed := (p.Seed + 0x9e3779b97f4a7c15) ^ (uint64(shard)+1)*0xa24baed4963ee407
-	splitmix64(&seed) // decorrelate nearby shards
+	splitmix.Next(&seed) // decorrelate nearby shards
 	return &Injector{plan: *p, shard: shard, rng: seed, sleep: time.Sleep}
 }
 
@@ -319,9 +321,9 @@ const (
 // stream position is a pure function of the op index.
 func (in *Injector) next() (k faultKind, stall time.Duration, magnitude uint64) {
 	in.op++
-	stallDraw := float01(&in.rng)
-	faultDraw := float01(&in.rng)
-	magnitude = splitmix64(&in.rng)
+	stallDraw := splitmix.Float01(&in.rng)
+	faultDraw := splitmix.Float01(&in.rng)
+	magnitude = splitmix.Next(&in.rng)
 	p := &in.plan
 	if p.Stall > 0 && stallDraw < p.Stall {
 		stall = 1 + time.Duration(magnitude%uint64(p.stallMax()))
@@ -496,18 +498,3 @@ func (df *File) Close() error { return df.f.Close() }
 
 // Poisoned reports whether a failed fsync has poisoned this handle.
 func (df *File) Poisoned() bool { return df.poisoned }
-
-// splitmix64 advances the state and returns the next value (same
-// generator netsim and the server's fault streams use).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float01 draws a uniform float in [0,1) from the stream.
-func float01(state *uint64) float64 {
-	return float64(splitmix64(state)>>11) / (1 << 53)
-}

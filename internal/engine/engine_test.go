@@ -176,6 +176,25 @@ func TestTaskSeedDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// TaskSeed is pinned: every seeded parallel run derives its per-task
+// streams from it.
+func TestTaskSeedGolden(t *testing.T) {
+	for _, c := range []struct {
+		base  int64
+		index int
+		want  int64
+	}{
+		{0, 0, -2152535657050944081},
+		{1, 0, -7995527694508729151},
+		{42, 7, -3677692746721775708},
+		{-5, 3, -2814969192020637181},
+	} {
+		if got := TaskSeed(c.base, c.index); got != c.want {
+			t.Errorf("TaskSeed(%d, %d) = %d, want %d", c.base, c.index, got, c.want)
+		}
+	}
+}
+
 func TestDefaultParallelism(t *testing.T) {
 	if DefaultParallelism() < 1 {
 		t.Error("DefaultParallelism < 1")

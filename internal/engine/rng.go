@@ -1,20 +1,18 @@
 package engine
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"objalloc/internal/splitmix"
+)
 
 // TaskSeed derives a deterministic per-task seed from a base seed and a
-// task index using the splitmix64 finalizer. Distinct indices yield
-// decorrelated streams, and the derivation depends only on (base, index)
+// task index: the splitmix64 output at state base + index·Golden.
+// Distinct indices yield decorrelated streams, and the derivation depends only on (base, index)
 // — never on which worker runs the task or in what order — so seeded
 // parallel runs reproduce exactly.
 func TaskSeed(base int64, index int) int64 {
-	z := uint64(base) + (uint64(index)+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(splitmix.Mix(uint64(base) + uint64(index)*splitmix.Golden))
 }
 
 // TaskRNG returns a rand.Rand seeded with TaskSeed(base, index). Each task

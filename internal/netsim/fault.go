@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"objalloc/internal/model"
+	"objalloc/internal/splitmix"
 )
 
 // FaultPlan describes the adversarial behavior of every link: independent
@@ -203,27 +204,10 @@ type heldMessage struct {
 	m   Message
 }
 
-// splitmix64 advances the state and returns the next 64-bit value.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-// float01 draws a uniform float in [0,1).
-func float01(state *uint64) float64 {
-	return float64(splitmix64(state)>>11) / (1 << 53)
-}
-
 func linkSeed(root uint64, from, to model.ProcessorID) uint64 {
 	s := root ^ (uint64(from)+1)*0xA24BAED4963EE407 ^ (uint64(to)+1)*0x9FB21C651E98DF25
 	// One scramble so adjacent (from,to) pairs decorrelate.
-	return splitmix64(&s)
+	return splitmix.Next(&s)
 }
 
 func (nw *Network) linkOf(from, to model.ProcessorID) *link {

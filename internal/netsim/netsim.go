@@ -31,6 +31,7 @@ import (
 
 	"objalloc/internal/model"
 	"objalloc/internal/obs"
+	"objalloc/internal/splitmix"
 	"objalloc/internal/storage"
 )
 
@@ -355,10 +356,10 @@ func (nw *Network) routeLocked(m Message, dels *[]delivery) {
 		switch {
 		case l.tick <= l.downUntil:
 			reason = DropFlap
-		case nw.plan.Flap > 0 && float01(&l.rng) < nw.plan.Flap:
+		case nw.plan.Flap > 0 && splitmix.Float01(&l.rng) < nw.plan.Flap:
 			l.downUntil = l.tick + nw.plan.flapLen()
 			reason = DropFlap
-		case nw.plan.Loss > 0 && float01(&l.rng) < nw.plan.Loss:
+		case nw.plan.Loss > 0 && splitmix.Float01(&l.rng) < nw.plan.Loss:
 			reason = DropLoss
 		}
 	}
@@ -366,18 +367,18 @@ func (nw *Network) routeLocked(m Message, dels *[]delivery) {
 		nw.dropLocked(m, reason, dels)
 	} else {
 		delayed := false
-		if l != nil && nw.plan.Delay > 0 && float01(&l.rng) < nw.plan.Delay {
+		if l != nil && nw.plan.Delay > 0 && splitmix.Float01(&l.rng) < nw.plan.Delay {
 			delayed = true
 			nw.stats.Delayed++
 			nw.holdSeq++
-			due := l.tick + 1 + splitmix64(&l.rng)%nw.plan.delayMax()
+			due := l.tick + 1 + splitmix.Next(&l.rng)%nw.plan.delayMax()
 			l.held = append(l.held, heldMessage{due: due, seq: nw.holdSeq, m: m})
 			nw.emitFaultLocked("net.delay", m, DropNone)
 		}
 		if !delayed {
 			nw.deliverLocked(m, dels)
 		}
-		if l != nil && nw.plan.Dup > 0 && float01(&l.rng) < nw.plan.Dup {
+		if l != nil && nw.plan.Dup > 0 && splitmix.Float01(&l.rng) < nw.plan.Dup {
 			nw.stats.Duplicated++
 			nw.emitFaultLocked("net.dup", m, DropNone)
 			nw.deliverLocked(m, dels)

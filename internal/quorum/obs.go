@@ -48,7 +48,7 @@ func (c *Cluster) observed(o *obs.Obs, kind string, p model.ProcessorID, op func
 	for t := 0; t < netsim.NumTypes; t++ {
 		if d := after.net.PerType[t] - before.net.PerType[t]; d > 0 {
 			attrs = append(attrs, obs.Int("m."+netsim.Type(t).String(), d))
-			o.Counter("quorum.msg."+netsim.Type(t).String()).Add(int64(d))
+			o.Counter("quorum.msg." + netsim.Type(t).String()).Add(int64(d))
 		}
 	}
 	if err == nil {

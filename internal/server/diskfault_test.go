@@ -320,7 +320,7 @@ func TestDedupedCounterCheckpointAuthority(t *testing.T) {
 		}
 		return r
 	}
-	do(1, model.R(0))                 // serviced; checkpoint {deduped:0}
+	do(1, model.R(0)) // serviced; checkpoint {deduped:0}
 	if r := do(1, model.R(0)); !r.Duplicate {
 		t.Fatal("resent seq 1 not deduplicated")
 	}
@@ -406,23 +406,25 @@ func FuzzReplayJournal(f *testing.F) {
 		if err := cfg.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		st, validLen, err := replayJournal(path, &cfg, nil)
+		var st, st2 svcState
+		if err := st.init(&cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		validLen, err := replayJournal(path, &st)
 		if err != nil {
 			return // a loud error is a correct outcome for mutated bytes
 		}
 		if validLen < 0 || validLen > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0,%d]", validLen, len(data))
 		}
-		st2, validLen2, err2 := replayJournal(path, &cfg, nil)
+		if err := st2.init(&cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		validLen2, err2 := replayJournal(path, &st2)
 		if err2 != nil {
 			t.Fatalf("replay accepted then rejected the same bytes: %v", err2)
 		}
-		if validLen2 != validLen ||
-			st.completed != st2.completed || st.reads != st2.reads ||
-			st.writes != st2.writes || st.coalesced != st2.coalesced ||
-			st.retrans != st2.retrans || st.unreach != st2.unreach ||
-			st.dups != st2.dups || st.deduped != st2.deduped ||
-			st.extra != st2.extra {
+		if validLen2 != validLen || st.load() != st2.load() || st.extra != st2.extra {
 			t.Fatalf("silent divergence: two replays of the same bytes disagree")
 		}
 		st.be.close()

@@ -12,6 +12,7 @@ import (
 
 	"objalloc/internal/model"
 	"objalloc/internal/obs"
+	"objalloc/internal/splitmix"
 	"objalloc/internal/tracing"
 )
 
@@ -368,12 +369,12 @@ const (
 // every request has been serviced.
 func (c *Client) BatchAllCtx(ctx context.Context, sc tracing.SpanContext, reqs []WireRequest) ([]WireResult, error) {
 	state := uint64(c.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	splitmix64(&state)
+	splitmix.Next(&state)
 	jitter := func(d time.Duration) time.Duration {
 		if d <= 0 {
-			return time.Duration(splitmix64(&state) % uint64(retryBackoffBase))
+			return time.Duration(splitmix.Next(&state) % uint64(retryBackoffBase))
 		}
-		return d + time.Duration(splitmix64(&state)%uint64(d/4+1))
+		return d + time.Duration(splitmix.Next(&state)%uint64(d/4+1))
 	}
 	var out []WireResult
 	backoff := retryBackoffBase

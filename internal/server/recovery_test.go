@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"objalloc/internal/adaptive"
+	"objalloc/internal/dom"
 	"objalloc/internal/model"
 	"objalloc/internal/netsim"
 	"objalloc/internal/tracing"
@@ -226,6 +228,50 @@ func TestCorruptMiddleFailsReplay(t *testing.T) {
 	}
 }
 
+// A record's error outcome is part of what replay verifies: a record
+// carrying an error for a request that replays as delivered (and, the
+// other way round, an unerrored record that replays as unreachable) is
+// a config mismatch or corruption, never silently accepted.
+func TestReplayChecksErrorOutcome(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Shards: 1, N: 4, T: 2, Journal: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Do("a", model.R(model.ProcessorID(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Drain()
+	path := filepath.Join(dir, "shard-0.jsonl")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayDir(Config{Shards: 1, N: 4, T: 2, Journal: dir}); err != nil {
+		t.Fatalf("untouched journal: %v", err)
+	}
+	first, rest, _ := strings.Cut(string(b), "\n")
+	forged := strings.TrimSuffix(first, "}") + `,"err":"forged"}` + "\n" + rest
+	if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayDir(Config{Shards: 1, N: 4, T: 2, Journal: dir}); err == nil || !strings.Contains(err.Error(), "forged") {
+		t.Fatalf("replay of a delivered request recorded with an error: err = %v, want a mismatch", err)
+	}
+
+	// Total loss: every request replays as unreachable, so an unerrored
+	// record must be refused.
+	lossy := Config{Shards: 1, N: 4, T: 2, Journal: dir, Faults: &netsim.FaultPlan{Seed: 1, Loss: 1}, Retry: netsim.RetryPolicy{MaxAttempts: 2}}
+	if err := os.WriteFile(path, []byte(`{"object":"a","op":"r","p":0,"cost_milli":500,"retransmits":2}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayDir(lossy); err == nil || !strings.Contains(err.Error(), "unreachable") {
+		t.Fatalf("replay of an unerrored record for a request it draws as unreachable: err = %v, want a mismatch", err)
+	}
+}
+
 // The journals written at different shard counts replay to the same
 // aggregate accounting: replay preserves the shard-count-independence
 // of the determinism contract.
@@ -320,6 +366,43 @@ func TestSeqDedup(t *testing.T) {
 	if st.Accepted != 2 || st.Complete != 2 || st.Deduped != 1 {
 		t.Fatalf("accepted/completed/deduped = %d/%d/%d, want 2/2/1", st.Accepted, st.Complete, st.Deduped)
 	}
+}
+
+// A panic inside the engine leaves the request uncounted and its seq
+// below the dedup horizon: the supervisor's retry of the carried request
+// services it instead of answering it as an already-serviced duplicate.
+func TestEnginePanicRetryIsServiced(t *testing.T) {
+	var fired atomic.Bool
+	factory := func(initial model.Set, tt int) (dom.Algorithm, error) {
+		alg, err := dom.DynamicFactory(initial, tt)
+		return panicOnce{Algorithm: alg, fired: &fired}, err
+	}
+	s, err := New(Config{Shards: 1, N: 4, T: 2, Factory: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.do("x", model.R(0), tracing.SpanContext{}, 1)
+	if err != nil || r.Duplicate || !fired.Load() {
+		t.Fatalf("retried request: %+v, %v (panic fired: %t)", r, err, fired.Load())
+	}
+	s.Drain()
+	if st := s.Stats(); st.Accepted != 1 || st.Complete != 1 || st.Deduped != 0 {
+		t.Fatalf("accepted/completed/deduped = %d/%d/%d, want 1/1/0", st.Accepted, st.Complete, st.Deduped)
+	}
+}
+
+// panicOnce is an engine whose first step, across all its instances,
+// panics.
+type panicOnce struct {
+	dom.Algorithm
+	fired *atomic.Bool
+}
+
+func (p panicOnce) Step(q model.Request) model.Step {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("injected engine panic")
+	}
+	return p.Algorithm.Step(q)
 }
 
 func TestSeqDedupOverHTTP(t *testing.T) {

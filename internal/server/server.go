@@ -35,6 +35,7 @@ import (
 	"objalloc/internal/multiobject"
 	"objalloc/internal/netsim"
 	"objalloc/internal/obs"
+	"objalloc/internal/splitmix"
 	"objalloc/internal/tracing"
 )
 
@@ -112,13 +113,13 @@ type Config struct {
 	// per service round) and replies are only sent after the commit, so
 	// an acked request is always durable; checkpoint records every
 	// CheckpointEvery entries keep replay O(tail). See recovery.go for
-	// the record format.
+	// the record format. Directory engines only: the executed HA
+	// clusters cannot be snapshotted or replayed.
 	Journal string
 	// Recover, when set, rebuilds each shard's state from its journal
 	// at startup instead of starting empty: the latest checkpoint is
 	// restored and the tail records are re-applied deterministically.
-	// Requires Journal; directory engines only (the executed HA
-	// clusters cannot be snapshotted).
+	// Requires Journal.
 	Recover bool
 	// CheckpointEvery is the number of journal records between
 	// checkpoints; fewer than 1 means 1024.
@@ -204,13 +205,14 @@ func (cfg *Config) Normalize() error {
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 1024
 	}
-	if cfg.Recover {
-		if cfg.Journal == "" {
-			return fmt.Errorf("server: Recover requires a Journal directory")
-		}
-		if cfg.Engine == EngineHA {
-			return fmt.Errorf("server: ha engine state is not restorable (Recover requires a directory engine)")
-		}
+	if cfg.Recover && cfg.Journal == "" {
+		return fmt.Errorf("server: Recover requires a Journal directory")
+	}
+	if cfg.Engine == EngineHA && cfg.Journal != "" {
+		// Journal replay rebuilds engine state, and the executed HA
+		// clusters cannot be snapshotted or replayed: a journaled HA
+		// shard could not recover from its first fault.
+		return fmt.Errorf("server: ha engine state is not restorable (Journal requires a directory engine)")
 	}
 	if cfg.Engine == EngineHA && cfg.Factory != nil {
 		return fmt.Errorf("server: Factory override is a directory-engine option; the ha engine executes real clusters")
@@ -366,36 +368,19 @@ func New(cfg Config) (*Server, error) {
 
 func newShard(s *Server, id int, plan *netsim.FaultPlan) (*shard, error) {
 	cfg := &s.cfg
-	var be backend
-	var err error
-	if cfg.Engine == EngineHA {
-		be = newHABackend(cfg, plan)
-	} else {
-		be, err = newDirectoryBackend(cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
 	sh := &shard{
 		id:      id,
 		srv:     s,
 		mail:    make(chan *task, cfg.Queue),
-		be:      be,
-		faults:  plan,
 		heldObj: make(map[string]bool),
 		blocked: make(map[string][]*task),
-		streams: make(map[string]*uint64),
-		next:    make(map[string]uint64),
 
 		depthHist: s.ops.Histogram(fmt.Sprintf("shard%d.queue_depth", id), 0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 		batchHist: s.ops.Histogram(fmt.Sprintf("shard%d.batch_size", id), 1, 2, 4, 8, 16, 32, 64, 128),
 		svcHist:   s.ops.Histogram(fmt.Sprintf("shard%d.service_rounds", id), 1, 2, 4, 8, 16, 32),
 	}
-	if cfg.Engine != EngineHA && cfg.coalesce {
-		sh.fresh = make(map[string]model.Set)
-	}
-	if cfg.Trace.Enabled() {
-		sh.seq = make(map[string]uint64)
+	if err := sh.init(cfg, plan); err != nil {
+		return nil, err
 	}
 	sh.inj = cfg.DiskFaults.Injector(id)
 	if cfg.Journal != "" {
@@ -407,19 +392,18 @@ func newShard(s *Server, id int, plan *netsim.FaultPlan) (*shard, error) {
 			// prefix was acked (or about to be — the client retries
 			// unacked requests and is answered idempotently), so the
 			// admission counter restarts equal to completed.
-			st, validLen, replayErr := replayJournal(path, cfg, plan)
-			if replayErr != nil {
-				be.close()
-				return nil, replayErr
+			validLen, err := replayJournal(path, &sh.svcState)
+			if err != nil {
+				sh.be.close()
+				return nil, err
 			}
-			if truncErr := os.Truncate(path, validLen); truncErr != nil && !os.IsNotExist(truncErr) {
-				be.close()
-				return nil, fmt.Errorf("server: journal %s: %w", path, truncErr)
+			if err := os.Truncate(path, validLen); err != nil && !os.IsNotExist(err) {
+				sh.be.close()
+				return nil, fmt.Errorf("server: journal %s: %w", path, err)
 			}
-			sh.installReplayed(st)
-			sh.accepted.Store(st.completed)
-			sh.deduped.Store(st.deduped)
+			sh.accepted.Store(sh.completed.Load())
 		}
+		var err error
 		sh.journal, err = openJournal(path, cfg.Recover, cfg.CheckpointEvery, sh.inj)
 		if err != nil {
 			sh.be.close()
@@ -432,7 +416,7 @@ func newShard(s *Server, id int, plan *netsim.FaultPlan) (*shard, error) {
 // shardOf maps an object to its shard by FNV-1a hash — stable across
 // runs, so replays land objects on the same shards.
 func (s *Server) shardOf(object string) *shard {
-	return s.shards[int(fnv64a(object)%uint64(len(s.shards)))]
+	return s.shards[int(splitmix.FNV64a(object)%uint64(len(s.shards)))]
 }
 
 // Do submits one request and blocks until it is serviced. Admission
@@ -630,14 +614,10 @@ func (s *Server) finalize() {
 	}
 	all := s.allStats()
 	var counts cost.Counts
-	var completed, coalesced, retrans, unreach, dups uint64
+	var tot Stats
 	for _, sh := range s.shards {
 		counts = counts.Add(sh.extra)
-		completed += sh.completed.Load()
-		coalesced += sh.coalesced.Load()
-		retrans += sh.retrans.Load()
-		unreach += sh.unreach.Load()
-		dups += sh.dups.Load()
+		tot.addTally(sh.load())
 	}
 	costMilli := o.Histogram("server.object_cost_milli", 0, 100, 300, 1000, 3000, 10000, 30000, 100000)
 	var switches int64
@@ -681,16 +661,16 @@ func (s *Server) finalize() {
 		o.Counter("server.policy_switches").Add(switches)
 	}
 	o.Counter("server.objects").Add(int64(len(all)))
-	o.Counter("server.requests").Add(int64(completed))
-	o.Counter("server.coalesced").Add(int64(coalesced))
-	o.Counter("server.retransmissions").Add(int64(retrans))
-	o.Counter("server.unreachable").Add(int64(unreach))
-	o.Counter("server.duplicates").Add(int64(dups))
+	o.Counter("server.requests").Add(int64(tot.Complete))
+	o.Counter("server.coalesced").Add(int64(tot.Coalesce))
+	o.Counter("server.retransmissions").Add(int64(tot.Retrans))
+	o.Counter("server.unreachable").Add(int64(tot.Unreach))
+	o.Counter("server.duplicates").Add(int64(tot.Dups))
 	o.Counter("server.msgs.control").Add(int64(counts.Control))
 	o.Counter("server.msgs.data").Add(int64(counts.Data))
 	o.Counter("server.io").Add(int64(counts.IO))
 	s.cfg.Trace.SetSummary(tracing.Summary{
-		Requests:  int64(completed),
+		Requests:  int64(tot.Complete),
 		Objects:   len(all),
 		Engine:    s.cfg.Engine.String(),
 		CostMilli: milli(counts.Price(s.cfg.Model)),
@@ -753,6 +733,18 @@ type ShardStats struct {
 	Restarts uint64 `json:"restarts,omitempty"`
 }
 
+// addTally folds one shard's deterministic counters into the totals.
+func (st *Stats) addTally(t tally) {
+	st.Complete += t.Completed
+	st.Reads += t.Reads
+	st.Writes += t.Writes
+	st.Coalesce += t.Coalesced
+	st.Retrans += t.Retrans
+	st.Unreach += t.Unreach
+	st.Dups += t.Dups
+	st.Deduped += t.Deduped
+}
+
 // Stats returns the operational snapshot. Safe to call at any time.
 func (s *Server) Stats() Stats {
 	st := Stats{
@@ -762,10 +754,11 @@ func (s *Server) Stats() Stats {
 		Final:    s.isFinal.Load(),
 	}
 	for _, sh := range s.shards {
+		t := sh.load()
 		ss := ShardStats{
 			Shard:    sh.id,
 			Accepted: sh.accepted.Load(),
-			Complete: sh.completed.Load(),
+			Complete: t.Completed,
 			Rejected: sh.rejected.Load(),
 			QueueLen: len(sh.mail),
 			QueueCap: cap(sh.mail),
@@ -776,15 +769,8 @@ func (s *Server) Stats() Stats {
 			ss.State = shardStateName(state)
 		}
 		st.Accepted += ss.Accepted
-		st.Complete += ss.Complete
 		st.Rejected += ss.Rejected
-		st.Reads += sh.reads.Load()
-		st.Writes += sh.writes.Load()
-		st.Coalesce += sh.coalesced.Load()
-		st.Retrans += sh.retrans.Load()
-		st.Unreach += sh.unreach.Load()
-		st.Dups += sh.dups.Load()
-		st.Deduped += sh.deduped.Load()
+		st.addTally(t)
 		st.PerShard = append(st.PerShard, ss)
 	}
 	if st.Final {

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"objalloc/internal/cost"
 	"objalloc/internal/diskfault"
 	"objalloc/internal/model"
 	"objalloc/internal/multiobject"
@@ -102,26 +101,22 @@ func shardStateName(v int32) string {
 }
 
 // shard is one partition: a mailbox, an engine and a service loop. All
-// non-atomic state below the marker is confined to the loop goroutine
-// (the supervisor, which runs the loop, during recovery).
+// non-atomic state below the marker, and the embedded service state, is
+// confined to the loop goroutine (the supervisor, which runs the loop,
+// during recovery).
 type shard struct {
-	id     int
-	srv    *Server
-	mail   chan *task
-	be     backend
-	faults *netsim.FaultPlan
-	inj    *diskfault.Injector // journal failpoints; nil = real disk
+	id   int
+	srv  *Server
+	mail chan *task
+	inj  *diskfault.Injector // journal failpoints; nil = real disk
+
+	svcState
 
 	// loop-confined state.
 	round   uint64
 	held    []heldTask
 	heldObj map[string]bool
 	blocked map[string][]*task
-	fresh   map[string]model.Set // processors holding a current copy (coalescing); nil = off
-	streams map[string]*uint64   // per-object fault stream states
-	seq     map[string]uint64    // per-object trace sequence numbers; nil when tracing is off
-	next    map[string]uint64    // per-object next expected client seq (wire dedup)
-	extra   cost.Counts          // retransmission billing (control messages)
 	journal *journalWriter
 	pending []pendingAck // acks staged until the round's commit
 
@@ -158,21 +153,13 @@ type shard struct {
 	batchHist *obs.Histogram
 	svcHist   *obs.Histogram
 
-	// counters read concurrently by Stats.
-	accepted  atomic.Uint64
-	completed atomic.Uint64
-	rejected  atomic.Uint64
-	reads     atomic.Uint64
-	writes    atomic.Uint64
-	coalesced atomic.Uint64
-	retrans   atomic.Uint64
-	unreach   atomic.Uint64
-	dups      atomic.Uint64
-	deduped   atomic.Uint64
-	rounds    atomic.Uint64
-	streak    atomic.Uint32
-	state     atomic.Int32 // shardHealthy/shardDegraded/shardRecovering
-	restarts  atomic.Uint64
+	// scheduling-dependent counters read concurrently by Stats.
+	accepted atomic.Uint64
+	rejected atomic.Uint64
+	rounds   atomic.Uint64
+	streak   atomic.Uint32
+	state    atomic.Int32 // shardHealthy/shardDegraded/shardRecovering
+	restarts atomic.Uint64
 }
 
 // run is the shard's service loop: gather a batch from the mailbox,
@@ -289,19 +276,7 @@ func (sh *shard) checkpoint() *ckptRecord {
 		sh.journal.ckptDisabled = true
 		return nil
 	}
-	rec := &ckptRecord{
-		T:         ckptTag,
-		Objects:   objs,
-		Extra:     sh.extra,
-		Completed: sh.completed.Load(),
-		Reads:     sh.reads.Load(),
-		Writes:    sh.writes.Load(),
-		Coalesced: sh.coalesced.Load(),
-		Retrans:   sh.retrans.Load(),
-		Unreach:   sh.unreach.Load(),
-		Dups:      sh.dups.Load(),
-		Deduped:   sh.deduped.Load(),
-	}
+	rec := &ckptRecord{T: ckptTag, Objects: objs, Extra: sh.extra, tally: sh.load()}
 	if len(sh.next) > 0 {
 		rec.Next = sh.next
 	}
@@ -364,11 +339,10 @@ func (sh *shard) releaseHeld(t *task) {
 	}
 }
 
-// process services one task: duplicate detection, fault draws (delay,
-// loss, duplication) from the object's deterministic stream, then
-// coalescing, then the engine. released marks a task coming back from a
-// delay hold, which skips the (already drawn) delay fault and the
-// blocked-object check.
+// process services one task: duplicate detection, the delay draw,
+// then the shared service step (serve). released marks a task coming
+// back from a delay hold, which skips the (already drawn) delay fault
+// and the blocked-object check.
 func (sh *shard) process(t *task, released bool) {
 	sh.cur = t
 	if t.tr != nil && t.tr.dequeued == 0 {
@@ -399,87 +373,22 @@ func (sh *shard) process(t *task, released bool) {
 			panic(fmt.Sprintf("shard %d: injected chaos panic after %d requests", sh.id, sh.chaosSeen))
 		}
 	}
-	var retransmits int
-	var retransCost float64
-	if plan := sh.faults; plan != nil && plan.Active() && sh.srv.cfg.Engine != EngineHA {
-		st := sh.stream(t.object)
-		if !released && plan.Delay > 0 && float01(st) < plan.Delay {
-			dmax := plan.DelayMax
-			if dmax < 1 {
-				dmax = 1
-			}
-			d := 1 + int(splitmix64(st)%uint64(dmax))
+	if !released {
+		if d := sh.delay(t.object); d > 0 {
 			t.holds = d
 			sh.held = append(sh.held, heldTask{t: t, release: sh.round + uint64(d)})
 			sh.heldObj[t.object] = true
 			return
 		}
-		if plan.Loss > 0 {
-			attempts := sh.srv.cfg.Retry.Attempts()
-			if sh.srv.cfg.Retry.Disabled {
-				attempts = 1
-			}
-			delivered := false
-			for a := 0; a < attempts; a++ {
-				if float01(st) < plan.Loss {
-					retransmits++
-				} else {
-					delivered = true
-					break
-				}
-			}
-			// Every lost attempt was a control message on the wire.
-			sh.extra.Control += retransmits
-			retransCost = float64(retransmits) * sh.srv.cfg.Model.CC
-			sh.retrans.Add(uint64(retransmits))
-			if !delivered {
-				sh.finish(t, Result{
-					Object:      t.object,
-					Cost:        retransCost,
-					Retransmits: retransmits,
-					Err:         netsim.Unreachable{Peer: t.req.Processor},
-				}, applied{})
-				sh.unreach.Add(1)
-				return
-			}
-		}
-		if plan.Dup > 0 && float01(st) < plan.Dup {
-			sh.dups.Add(1)
-		}
 	}
-	if sh.fresh != nil && t.req.IsRead() && sh.fresh[t.object].Contains(t.req.Processor) {
-		// Coalesced: this processor already holds a current copy, the
-		// read is local and free under the mobile model.
-		sh.coalesced.Add(1)
-		sh.reads.Add(1)
-		sh.finish(t, Result{Object: t.object, Cost: retransCost, Coalesced: true, Retransmits: retransmits}, applied{})
-		return
-	}
-	a, err := sh.be.apply(t.object, t.req)
-	if sh.fresh != nil && err == nil {
-		if t.req.IsRead() {
-			// The saving read installed a copy at the reader.
-			sh.fresh[t.object] = sh.fresh[t.object].Add(t.req.Processor)
-		} else {
-			// A write invalidates every remote copy.
-			delete(sh.fresh, t.object)
-		}
-	}
-	if t.req.IsRead() {
-		sh.reads.Add(1)
-	} else {
-		sh.writes.Add(1)
-	}
-	sh.finish(t, Result{Object: t.object, Cost: a.cost + retransCost, Retransmits: retransmits, Err: err}, a)
+	r, a := sh.serve(t.object, t.req, t.seq)
+	sh.finish(t, r, a)
 }
 
-// finish completes a task: advance the dedup horizon, journal, metrics,
-// trace, and stage (or, unjournaled, send) the reply.
+// finish completes a served task: journal, metrics, trace, and stage
+// (or, unjournaled, send) the reply.
 func (sh *shard) finish(t *task, r Result, a applied) {
 	sh.svcHist.Observe(int64(1 + t.holds))
-	if t.seq != 0 && t.seq >= sh.next[t.object] {
-		sh.next[t.object] = t.seq + 1
-	}
 	if sh.journal != nil {
 		if err := sh.journal.record(t, r); err != nil {
 			sh.journalFault("record", err)
@@ -488,7 +397,6 @@ func (sh *shard) finish(t *task, r Result, a applied) {
 	if t.tr != nil {
 		sh.emitTrace(t, r, a)
 	}
-	sh.completed.Add(1)
 	if sh.journal != nil {
 		// Group commit: the reply goes out after the round's fsync.
 		sh.pending = append(sh.pending, pendingAck{t: t, r: r})
@@ -595,22 +503,6 @@ func (sh *shard) emitTrace(t *task, r Result, a applied) {
 	tc.Submit(flagged, spans...)
 }
 
-// stream returns the object's fault stream state, seeding it on first
-// touch from (plan seed ⊕ config seed, object hash) — a function of the
-// object alone, never of the shard or the batch, so fault outcomes are
-// identical at any shard count.
-func (sh *shard) stream(object string) *uint64 {
-	st, ok := sh.streams[object]
-	if !ok {
-		seed := (sh.faults.Seed ^ uint64(sh.srv.cfg.Seed)) * 0x9e3779b97f4a7c15
-		v := seed ^ fnv64a(object)
-		st = &v
-		splitmix64(st) // burn one draw to decorrelate nearby seeds
-		sh.streams[object] = st
-	}
-	return st
-}
-
 // journalFile is the seam between journalWriter and the disk: *os.File
 // in production, *diskfault.File under an injection plan. Nothing else
 // of os.File's surface is used, so the failpoint wrapper stays small.
@@ -626,11 +518,11 @@ type journalFile interface {
 // write + fsync per service round. Every CheckpointEvery committed
 // records it appends a checkpoint record so replay is O(tail).
 type journalWriter struct {
-	f            journalFile
-	path         string
-	buf          bytes.Buffer
-	bufRecs      int   // records in buf, folded into sinceCkpt on commit
-	size         int64 // committed (write+fsync completed) bytes; the
+	f       journalFile
+	path    string
+	buf     bytes.Buffer
+	bufRecs int   // records in buf, folded into sinceCkpt on commit
+	size    int64 // committed (write+fsync completed) bytes; the
 	// recovery truncation point — anything beyond it was never acked
 	every        int // checkpoint cadence; <1 disables
 	sinceCkpt    int
@@ -757,32 +649,6 @@ func (j *journalWriter) close() error {
 		err = cerr
 	}
 	return err
-}
-
-// fnv64a is the 64-bit FNV-1a hash, used for the object→shard mapping
-// and per-object fault-stream seeding.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix64 advances the state and returns the next value of the
-// splitmix64 stream (same generator netsim uses for its fault streams).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float01 draws a uniform float in [0,1) from the stream.
-func float01(state *uint64) float64 {
-	return float64(splitmix64(state)>>11) / (1 << 53)
 }
 
 func sortStats(all []multiobject.Stats) {

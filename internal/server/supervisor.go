@@ -247,12 +247,15 @@ func (sh *shard) collectInflight() []*task {
 // recoverState rebuilds the shard from the durable journal prefix:
 // uncommitted records (buffered, or written but never fsync-acked) are
 // discarded, the old file handle is closed and the file truncated by
-// path to the committed size, then the journal is replayed into a fresh
-// engine and installed and a fresh handle opened. Closing before
-// truncating is the fsyncgate rule: after a failed fsync the kernel may
-// have dropped the dirty pages and marked them clean, so the old
-// descriptor's state is a lie — the only safe move is discard + reopen
-// + rebuild from the durable prefix, never a retried fsync.
+// path to the committed size, then the shard's service state is reset
+// over a fresh engine, the journal replayed into it and a fresh handle
+// opened. The admission counter is untouched: carried in-flight tasks
+// are still admitted and will complete (or be failed) by the restarted
+// loop. Closing before truncating is the fsyncgate rule: after a failed
+// fsync the kernel may have dropped the dirty pages and marked them
+// clean, so the old descriptor's state is a lie — the only safe move is
+// discard + reopen + rebuild from the durable prefix, never a retried
+// fsync.
 // Reprocessing the carried tasks then redraws the same fault-stream
 // values the crashed loop drew, so the recovered shard is
 // indistinguishable from one that never panicked. Without a journal
@@ -267,9 +270,11 @@ func (sh *shard) recoverState() error {
 	if err := os.Truncate(sh.journal.path, sh.journal.size); err != nil {
 		return err
 	}
-	cfg := &sh.srv.cfg
-	st, _, err := replayJournal(sh.journal.path, cfg, sh.faults)
-	if err != nil {
+	sh.be.close()
+	if err := sh.init(&sh.srv.cfg, sh.faults); err != nil {
+		return err
+	}
+	if _, err := replayJournal(sh.journal.path, &sh.svcState); err != nil {
 		return err
 	}
 	nj, err := openJournal(sh.journal.path, true, sh.journal.every, sh.inj)
@@ -278,34 +283,7 @@ func (sh *shard) recoverState() error {
 	}
 	nj.ckptDisabled = sh.journal.ckptDisabled
 	sh.journal = nj
-	sh.installReplayed(st)
 	return nil
-}
-
-// installReplayed swaps the shard's engine and loop-confined state for
-// the replayed one. The admission counter is untouched: carried
-// in-flight tasks are still admitted and will complete (or be failed)
-// by the restarted loop.
-func (sh *shard) installReplayed(st *replayed) {
-	sh.be.close()
-	sh.be = st.be
-	sh.next = st.next
-	sh.streams = st.streams
-	if sh.fresh != nil {
-		sh.fresh = st.fresh
-	}
-	if sh.seq != nil {
-		sh.seq = st.seq
-	}
-	sh.extra = st.extra
-	sh.completed.Store(st.completed)
-	sh.reads.Store(st.reads)
-	sh.writes.Store(st.writes)
-	sh.coalesced.Store(st.coalesced)
-	sh.retrans.Store(st.retrans)
-	sh.unreach.Store(st.unreach)
-	sh.dups.Store(st.dups)
-	sh.deduped.Store(st.deduped)
 }
 
 // emitJournalFaultSpan records one always-sampled journal_fault span

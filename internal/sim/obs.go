@@ -53,7 +53,7 @@ func (c *Cluster) emitRequest(o *obs.Obs, index int, q model.Request, before, af
 	for t := 0; t < netsim.NumTypes; t++ {
 		if d := after.net.PerType[t] - before.net.PerType[t]; d > 0 {
 			attrs = append(attrs, obs.Int("m."+netsim.Type(t).String(), d))
-			o.Counter("sim.msg."+netsim.Type(t).String()).Add(int64(d))
+			o.Counter("sim.msg." + netsim.Type(t).String()).Add(int64(d))
 		}
 	}
 	attrs = append(attrs, obs.String("scheme", scheme.String()))

@@ -38,6 +38,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"objalloc/internal/splitmix"
 )
 
 // TraceID is a 16-byte trace identifier (rendered as 32 hex digits).
@@ -108,26 +110,6 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	return sc, nil
 }
 
-// mix64 is the splitmix64 finalizer — the same generator the fault
-// streams use, here as a pure function for ID derivation.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// fnv64a is the 64-bit FNV-1a hash (matches the server's object
-// hashing).
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 func put64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (56 - 8*i))
@@ -139,12 +121,12 @@ func put64(b []byte, v uint64) {
 // has under the determinism contract. Two runs with the same seed and
 // workload derive the same IDs at any shard count or parallelism.
 func DeriveRequest(seed int64, object string, seq uint64) SpanContext {
-	s0 := mix64(fnv64a(object) ^ mix64(uint64(seed)))
-	s1 := mix64(s0 ^ mix64(seq))
+	s0 := splitmix.Mix(splitmix.FNV64a(object) ^ splitmix.Mix(uint64(seed)))
+	s1 := splitmix.Mix(s0 ^ splitmix.Mix(seq))
 	var sc SpanContext
 	put64(sc.Trace[0:8], s1)
-	put64(sc.Trace[8:16], mix64(s1^0xa5a5a5a5a5a5a5a5))
-	put64(sc.Span[:], mix64(s1^0x5bd1e9955bd1e995))
+	put64(sc.Trace[8:16], splitmix.Mix(s1^0xa5a5a5a5a5a5a5a5))
+	put64(sc.Span[:], splitmix.Mix(s1^0x5bd1e9955bd1e995))
 	if sc.Trace.IsZero() {
 		sc.Trace[0] = 1 // astronomically unlikely, but keep the context valid
 	}
@@ -161,7 +143,7 @@ func ChildID(parent SpanContext, kind string, index uint64) SpanID {
 	var hi, lo [8]byte
 	copy(hi[:], parent.Trace[:8])
 	copy(lo[:], parent.Span[:])
-	h := mix64(get64(hi) ^ mix64(get64(lo)) ^ fnv64a(kind) ^ mix64(index))
+	h := splitmix.Mix(get64(hi) ^ splitmix.Mix(get64(lo)) ^ splitmix.FNV64a(kind) ^ splitmix.Mix(index))
 	var id SpanID
 	put64(id[:], h)
 	if id.IsZero() {
@@ -376,7 +358,7 @@ func (t *Tracer) Sampled(trace string, flagged bool) bool {
 	if flagged || t.cfg.SampleRate >= 1 {
 		return true
 	}
-	u := mix64(fnv64a(trace))
+	u := splitmix.Mix(splitmix.FNV64a(trace))
 	return float64(u>>11)/(1<<53) < t.cfg.SampleRate
 }
 

@@ -50,6 +50,21 @@ func TestParseTraceparentMalformed(t *testing.T) {
 	}
 }
 
+// Derived IDs are pinned: same-seed trace files stay byte-identical
+// across releases only while these values hold.
+func TestDeriveRequestGolden(t *testing.T) {
+	sc := DeriveRequest(11, "obj-3", 5)
+	if got := sc.Trace.String(); got != "c9e4ee4697c46f25935d384e8a03b448" {
+		t.Errorf("trace id = %s", got)
+	}
+	if got := sc.Span.String(); got != "87072cc2838dfce9" {
+		t.Errorf("span id = %s", got)
+	}
+	if got := ChildID(sc, NameService, 0).String(); got != "fe767d81e7fb6066" {
+		t.Errorf("child id = %s", got)
+	}
+}
+
 func TestDeriveRequestDeterministicAndDistinct(t *testing.T) {
 	a := DeriveRequest(42, "obj-1", 5)
 	if b := DeriveRequest(42, "obj-1", 5); a != b {

@@ -3,7 +3,6 @@ package objalloc_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -14,26 +13,6 @@ func contextBattery() objalloc.BatteryConfig {
 	battery := objalloc.DefaultBattery()
 	battery.RandomSchedules, battery.RandomLength, battery.NemesisRounds = 2, 12, 10
 	return battery
-}
-
-// The deprecated positional facade and the context facade must agree: the
-// wrapper is a delegation, not a second implementation.
-func TestFacadeSweepContextMatchesDeprecated(t *testing.T) {
-	battery := contextBattery()
-	cds, ccs := []float64{0.5, 1.5}, []float64{0.2}
-	oldPoints, err := objalloc.Sweep(cds, ccs, false, battery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPoints, err := objalloc.SweepContext(context.Background(), objalloc.SweepSpec{
-		CDs: cds, CCs: ccs, Battery: battery, Parallelism: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", oldPoints) != fmt.Sprintf("%+v", newPoints) {
-		t.Errorf("SweepContext disagrees with deprecated Sweep:\nold: %+v\nnew: %+v", oldPoints, newPoints)
-	}
 }
 
 // Cancelling mid-sweep through the facade must surface context.Canceled.
@@ -93,7 +72,7 @@ func TestFacadePreCancelledContexts(t *testing.T) {
 }
 
 // SearchWorstCaseContext must be deterministic across parallelism through
-// the facade, and the deprecated form must match Parallelism-default runs.
+// the facade, including the default parallelism.
 func TestFacadeSearchContextDeterministic(t *testing.T) {
 	cfg := objalloc.SearchConfig{
 		Model: objalloc.SC(0.3, 1.1), Factory: objalloc.DynamicFactory,
@@ -115,12 +94,12 @@ func TestFacadeSearchContextDeterministic(t *testing.T) {
 	}
 
 	cfg.Parallelism = 0
-	deprecated, err := objalloc.SearchWorstCase(cfg)
+	def, err := objalloc.SearchWorstCaseContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deprecated.Ratio != serial.Ratio {
-		t.Errorf("deprecated SearchWorstCase ratio %.6f != context form %.6f", deprecated.Ratio, serial.Ratio)
+	if def.Ratio != serial.Ratio {
+		t.Errorf("default-parallelism ratio %.6f != serial %.6f", def.Ratio, serial.Ratio)
 	}
 }
 
