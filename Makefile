@@ -49,6 +49,7 @@ fuzzsmoke:
 	go test -run none -fuzz FuzzParseDiskFaults -fuzztime 10s ./internal/chaos
 	go test -run none -fuzz FuzzParseAdaptiveSpec -fuzztime 10s ./internal/adaptive
 	go test -run none -fuzz FuzzReplayJournal -fuzztime 10s ./internal/server
+	go test -run none -fuzz FuzzBatchCodec -fuzztime 10s ./internal/server
 
 serve-smoke:
 	sh scripts/serve_smoke.sh

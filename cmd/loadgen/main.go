@@ -118,9 +118,10 @@ func run(args []string) error {
 
 	// Per-request end-to-end latencies: the in-process path times every
 	// Server.Do individually; the HTTP path attributes each batch's round
-	// trip to every request it completed (requests in a batch are
-	// submitted together, so the round trip IS each one's end-to-end
-	// latency). A bounded reservoir keeps duration-mode soaks O(1) memory.
+	// trip to every request it completed (the daemon admits a batch whole
+	// and replies once its admitted prefix is serviced, so the round trip
+	// IS each one's end-to-end latency). A bounded reservoir keeps
+	// duration-mode soaks O(1) memory.
 	reqLats := newLatReservoir(1<<17, *seed)
 
 	if *inproc {

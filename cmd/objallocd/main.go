@@ -72,6 +72,21 @@ import (
 	"objalloc/internal/tracing"
 )
 
+// Connection-lifetime bounds: a client must send its request headers
+// within readHeaderTimeout, and an idle keep-alive connection is closed
+// after idleTimeout, so a slow or abandoned client cannot hold a
+// connection open indefinitely. There is no write timeout: a batch's
+// reply waits on its service (and, journaled, its fsync).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the daemon's HTTP server for h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("objallocd: ")
@@ -222,7 +237,7 @@ func run(args []string, ready chan<- string) error {
 		ready <- bound
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

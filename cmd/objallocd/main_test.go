@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,5 +112,14 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-engine", "ha", "-journal", t.TempDir()}, nil); err == nil || !strings.Contains(err.Error(), "ha engine") {
 		t.Fatalf("journaled ha engine: err = %v, want the ha refusal", err)
+	}
+}
+
+// TestHTTPServerBoundsConnections checks the daemon's server bounds
+// connection lifetime: both the header-read and the idle timeout are set.
+func TestHTTPServerBoundsConnections(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, IdleTimeout = %v; want both set", hs.ReadHeaderTimeout, hs.IdleTimeout)
 	}
 }

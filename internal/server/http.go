@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"objalloc/internal/model"
@@ -89,9 +91,10 @@ func parseOp(s string) (model.Request, bool) {
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/batch   — service a batch of requests in order; an optional
-//	                   traceparent header ties the batch's spans to the
-//	                   caller's trace
+//	POST /v1/batch   — validate a batch whole, admit it whole, then
+//	                   service it in order; an optional traceparent
+//	                   header ties the batch's spans to the caller's
+//	                   trace
 //	GET  /v1/stats   — operational snapshot (Stats + ops counters and
 //	                   histogram snapshots)
 //	GET  /v1/metrics — Prometheus text exposition of the ops registry
@@ -120,9 +123,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	var body BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	bp := batchBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBatchBuf {
+			batchBufs.Put(bp)
+		}
+	}()
+	raw, err := readBody((*bp)[:0], http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	*bp = raw
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("batch body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
@@ -131,36 +140,51 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
 		return
 	}
-	resp := BatchResponse{Results: make([]WireResult, 0, len(body.Requests))}
-	for _, wr := range body.Requests {
-		q, ok := parseOp(wr.Op)
-		if !ok {
-			http.Error(w, fmt.Sprintf("bad op %q (want r or w)", wr.Op), http.StatusBadRequest)
+	body, ok := decodeBatch(raw)
+	if !ok {
+		body = BatchRequest{}
+		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&body); err != nil {
+			http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
 			return
 		}
-		q.Processor = model.ProcessorID(wr.Processor)
-		res, err := s.do(wr.Object, q, parent, wr.Seq)
+	}
+	// Validate the whole batch before admitting any of it: a 400 means
+	// nothing was serviced or billed.
+	for i, wr := range body.Requests {
+		if _, err := s.wireRequest(wr); err != nil {
+			http.Error(w, fmt.Sprintf("bad batch: request %d: %v", i, err), http.StatusBadRequest)
+			return
+		}
+	}
+	// Admit the whole batch, then await it: the shards service the
+	// batch in rounds (and commit it in one fsync per round) instead of
+	// one request per round trip. Per-object order holds because each
+	// object's requests enter one FIFO mailbox in batch order.
+	resp := BatchResponse{Results: make([]WireResult, 0, len(body.Requests))}
+	tasks := make([]*task, 0, len(body.Requests))
+	for _, wr := range body.Requests {
+		q, _ := s.wireRequest(wr) // validated above
+		t, err := s.admit(wr.Object, q, parent, wr.Seq)
 		if err != nil {
-			if ov, isOverload := err.(*Overloaded); isOverload {
-				resp.RetryAfterMS = ov.RetryAfter.Milliseconds()
-				break
-			}
-			if un, isUnavailable := err.(*Unavailable); isUnavailable {
-				resp.RetryAfterMS = un.RetryAfter.Milliseconds()
-				resp.Unavailable = true
-				break
-			}
-			if err == ErrDraining {
-				resp.Draining = true
-				break
-			}
-			// A service error: the request was accepted and consumed.
-			res.Err = err
+			resp.refuse(err)
+			break
+		}
+		tasks = append(tasks, t)
+	}
+	for i, t := range tasks {
+		res, err := s.await(t)
+		if err != nil && resp.refuse(err) {
+			// The shard fail-stopped after admission. Later admitted
+			// requests are still answered by their shards, but the
+			// reply stays a prefix; seq-carrying resends of them are
+			// deduplicated.
+			break
 		}
 		errStr := ""
 		if res.Err != nil {
 			errStr = res.Err.Error()
 		}
+		wr := body.Requests[i]
 		resp.Results = append(resp.Results, WireResult{
 			Object: wr.Object, Op: wr.Op, Processor: wr.Processor,
 			Cost: res.Cost, Coalesced: res.Coalesced, Retransmits: res.Retransmits,
@@ -184,7 +208,66 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if out, ok := appendBatchResponse((*bp)[:0], &resp); ok {
+		*bp = out
+		w.Write(out)
+		return
+	}
 	json.NewEncoder(w).Encode(resp)
+}
+
+// wireRequest converts and validates one wire request.
+func (s *Server) wireRequest(wr WireRequest) (model.Request, error) {
+	q, ok := parseOp(wr.Op)
+	if !ok {
+		return q, fmt.Errorf("bad op %q (want r or w)", wr.Op)
+	}
+	q.Processor = model.ProcessorID(wr.Processor)
+	return q, s.validate(wr.Object, q)
+}
+
+// refuse records an admission refusal in the reply and reports whether
+// err was one: *Overloaded, *Unavailable or ErrDraining.
+func (resp *BatchResponse) refuse(err error) bool {
+	var ov *Overloaded
+	var un *Unavailable
+	switch {
+	case errors.As(err, &ov):
+		resp.RetryAfterMS = ov.RetryAfter.Milliseconds()
+	case errors.As(err, &un):
+		resp.RetryAfterMS = un.RetryAfter.Milliseconds()
+		resp.Unavailable = true
+	case errors.Is(err, ErrDraining):
+		resp.Draining = true
+	default:
+		return false
+	}
+	return true
+}
+
+// batchBufs recycles the buffer that holds a batch body and then its
+// reply, so a steady stream of batches reads and writes without
+// allocating; buffers grown past maxPooledBatchBuf by an outsized batch
+// are left to the collector.
+var batchBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledBatchBuf = 64 << 10
+
+// readBody appends everything r yields to b.
+func readBody(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

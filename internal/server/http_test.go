@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -287,21 +289,190 @@ func TestMetricsHandlerWithoutObs(t *testing.T) {
 	}
 }
 
-func TestParseOpRejectsUnknown(t *testing.T) {
-	s, err := New(Config{Shards: 1, N: 2, T: 1})
+// TestBadBatchAdmitsNothing checks the whole batch is validated before
+// any of it is admitted: a bad op, an empty object or an out-of-range
+// processor anywhere in the batch answers 400 with nothing serviced or
+// billed, so a client that resends the batch is not billed twice.
+func TestBadBatchAdmitsNothing(t *testing.T) {
+	s, err := New(Config{Shards: 2, N: 8, T: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json",
-		strings.NewReader(`{"requests":[{"object":"a","op":"x","processor":0}]}`))
+	for _, tc := range []struct{ name, body string }{
+		{"unknown op", `{"requests":[{"object":"a","op":"x","processor":0}]}`},
+		{"bad op after a good request", `{"requests":[{"object":"a","op":"r","processor":0},{"object":"b","op":"x","processor":0}]}`},
+		{"processor out of range", `{"requests":[{"object":"c","op":"r","processor":99}]}`},
+		{"negative processor after a good request", `{"requests":[{"object":"a","op":"w","processor":1},{"object":"d","op":"r","processor":-1}]}`},
+		{"empty object", `{"requests":[{"object":"a","op":"r","processor":0},{"object":"","op":"r","processor":0}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			if st := s.Stats(); st.Accepted != 0 || st.Complete != 0 {
+				t.Fatalf("rejected batch admitted %d, completed %d requests", st.Accepted, st.Complete)
+			}
+		})
+	}
+}
+
+// stalledServer starts a server whose shard loops block at the top of
+// every round until release is called.
+func stalledServer(t *testing.T, cfg Config) (s *Server, release func()) {
+	t.Helper()
+	stall := make(chan struct{})
+	var once sync.Once
+	cfg.testBeforeRound = func(int) { <-stall }
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown op status = %d, want 400", resp.StatusCode)
+	release = func() { once.Do(func() { close(stall) }) }
+	t.Cleanup(func() {
+		release()
+		s.Close()
+	})
+	return s, release
+}
+
+// waitFor polls cond until it holds or a deadline passes.
+func waitFor(cond func() bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// batchOf builds n requests over a few objects, alternating reads and
+// writes.
+func batchOf(n int) []WireRequest {
+	reqs := make([]WireRequest, n)
+	for i := range reqs {
+		op := "r"
+		if i%3 == 0 {
+			op = "w"
+		}
+		reqs[i] = WireRequest{Object: fmt.Sprintf("o%d", i%5), Op: op, Processor: i % 4}
+	}
+	return reqs
+}
+
+// checkPrefix checks a reply's results echo the first done requests in
+// order.
+func checkPrefix(t *testing.T, resp BatchResponse, reqs []WireRequest, done int) {
+	t.Helper()
+	if resp.Done != done || len(resp.Results) != done {
+		t.Fatalf("done = %d with %d results, want %d", resp.Done, len(resp.Results), done)
+	}
+	for i, r := range resp.Results {
+		if r.Object != reqs[i].Object || r.Op != reqs[i].Op || r.Processor != reqs[i].Processor {
+			t.Fatalf("result %d = %+v out of order vs %+v", i, r, reqs[i])
+		}
+	}
+}
+
+// TestBatchAdmittedWhole stalls the shard and checks every request of a
+// 32-request batch reaches the mailbox before the first reply is sent:
+// the handler admits the batch whole instead of waiting out one request
+// at a time.
+func TestBatchAdmittedWhole(t *testing.T) {
+	s, release := stalledServer(t, Config{Shards: 1, N: 4, T: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	reqs := batchOf(32)
+	type reply struct {
+		resp BatchResponse
+		err  error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := (&Client{Base: ts.URL}).Batch(reqs)
+		replied <- reply{resp, err}
+	}()
+	queued := waitFor(func() bool { return len(s.shards[0].mail) == len(reqs) })
+	release()
+	if !queued {
+		t.Fatalf("mailbox held %d of %d requests while the shard was stalled", len(s.shards[0].mail), len(reqs))
+	}
+	r := <-replied
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	checkPrefix(t, r.resp, reqs, len(reqs))
+}
+
+// TestBatchOverloadMidBatch fills a 4-slot mailbox from one batch while
+// the shard is stalled: admission stops at the first overload, the reply
+// carries the admitted prefix in order with the retry hint, and the
+// drain loses nothing.
+func TestBatchOverloadMidBatch(t *testing.T) {
+	s, release := stalledServer(t, Config{Shards: 1, Queue: 4, N: 4, T: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	go func() {
+		waitFor(func() bool { return s.shards[0].rejected.Load() > 0 })
+		release()
+	}()
+	reqs := batchOf(10)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(clientBody(t, reqs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpResp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	var resp BatchResponse
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if httpResp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 for a partial batch", httpResp.StatusCode)
+	}
+	checkPrefix(t, resp, reqs, 4)
+	if resp.RetryAfterMS <= 0 || httpResp.Header.Get("Retry-After") == "" {
+		t.Fatalf("partial batch without retry hint: retry_after_ms %d, Retry-After %q",
+			resp.RetryAfterMS, httpResp.Header.Get("Retry-After"))
+	}
+	s.Drain()
+	if st := s.Stats(); st.Accepted != 4 || st.Complete != 4 || st.Rejected != 1 {
+		t.Fatalf("accepted/completed/rejected = %d/%d/%d, want 4/4/1", st.Accepted, st.Complete, st.Rejected)
+	}
+}
+
+// BenchmarkHandleBatch drives the batch handler directly with a
+// 32-request body as Client marshals it, on 2 DA shards: decoding,
+// admission, service and reply encoding, without a network.
+func BenchmarkHandleBatch(b *testing.B) {
+	s, err := New(Config{Shards: 2, N: 8, T: 3, Engine: EngineDA})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	body := clientBody(b, batchOf(32))
+	h := s.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -405,45 +406,102 @@ func (p panicOnce) Step(q model.Request) model.Step {
 	return p.Algorithm.Step(q)
 }
 
+// TestSeqDedupOverHTTP sends a seq-carrying stream through /v1/batch
+// twice — a seq resent inside a batch, then the whole stream resent —
+// and the same stream through do one request at a time. Delay and loss
+// faults hold requests and block their objects' queues behind them, and
+// the journal group-commits each round. Both ways must answer every
+// request alike and end with identical stats and per-object accounting:
+// admitting a batch whole changes the scheduling, not the outcome.
 func TestSeqDedupOverHTTP(t *testing.T) {
-	s, err := New(Config{Shards: 2, N: 4, T: 2})
+	config := func() Config {
+		return Config{
+			Shards: 2, N: 4, T: 2, Seed: 3,
+			Faults:  &netsim.FaultPlan{Seed: 9, Loss: 0.1, Delay: 0.3, DelayMax: 3},
+			Retry:   netsim.RetryPolicy{MaxAttempts: 4},
+			Journal: t.TempDir(),
+		}
+	}
+	var reqs []WireRequest
+	next := map[string]uint64{}
+	for i := 0; i < 96; i++ {
+		obj := fmt.Sprintf("o%d", i%6)
+		op := "r"
+		if i%4 == 1 {
+			op = "w"
+		}
+		next[obj]++
+		reqs = append(reqs, WireRequest{Object: obj, Op: op, Processor: i % 4, Seq: next[obj]})
+		if i%10 == 7 {
+			reqs = append(reqs, reqs[len(reqs)-1]) // resent within the batch
+		}
+	}
+	resends := len(reqs) - 96
+
+	viaHTTP, err := New(config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(viaHTTP.Handler())
 	defer ts.Close()
 	c := &Client{Base: ts.URL}
+	var wire []WireResult
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < len(reqs); i += 32 {
+			batch := reqs[i:min(i+32, len(reqs))]
+			resp, err := c.Batch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Done != len(batch) {
+				t.Fatalf("batch done = %d, want %d", resp.Done, len(batch))
+			}
+			wire = append(wire, resp.Results...)
+		}
+	}
+	for i, r := range wire {
+		if fresh := i < len(reqs) && (i == 0 || reqs[i] != reqs[i-1]); r.Duplicate == fresh {
+			t.Fatalf("result %d (%+v): duplicate = %t, want %t", i, reqs[i%len(reqs)], r.Duplicate, !fresh)
+		}
+		if r.Duplicate && r.Cost != 0 {
+			t.Fatalf("duplicate billed: %+v", r)
+		}
+	}
+	viaHTTP.Drain()
 
-	reqs := []WireRequest{
-		{Object: "a", Op: "r", Processor: 0, Seq: 1},
-		{Object: "a", Op: "w", Processor: 1, Seq: 2},
-	}
-	first, err := c.Batch(reqs)
+	viaDo, err := New(config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range first.Results {
-		if r.Duplicate {
-			t.Fatalf("fresh request marked duplicate: %+v", r)
+	for pass := 0; pass < 2; pass++ {
+		for i, wr := range reqs {
+			q, err := viaDo.wireRequest(wr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := viaDo.do(wr.Object, q, tracing.SpanContext{}, wr.Seq)
+			if err != nil && r.Err == nil {
+				t.Fatal(err)
+			}
+			w := wire[pass*len(reqs)+i]
+			if r.Cost != w.Cost || r.Duplicate != w.Duplicate || r.Retransmits != w.Retransmits || (r.Err != nil) != (w.Err != "") {
+				t.Fatalf("request %d (%+v): do %+v, batch %+v", i, wr, r, w)
+			}
 		}
 	}
-	second, err := c.Batch(reqs)
-	if err != nil {
-		t.Fatal(err)
+	viaDo.Drain()
+
+	got, want := viaHTTP.Stats(), viaDo.Stats()
+	if detStats(got) != detStats(want) || got.Deduped != want.Deduped {
+		t.Fatalf("batch stats\n  %s deduped=%d\ndo stats\n  %s deduped=%d",
+			detStats(got), got.Deduped, detStats(want), want.Deduped)
 	}
-	if second.Done != 2 {
-		t.Fatalf("resent batch done = %d, want 2", second.Done)
+	if got.Accepted != got.Complete || got.Deduped != uint64(len(reqs)+resends) {
+		t.Fatalf("accepted/completed/deduped = %d/%d/%d, want equal accept/complete and %d deduped",
+			got.Accepted, got.Complete, got.Deduped, len(reqs)+resends)
 	}
-	for _, r := range second.Results {
-		if !r.Duplicate || r.Cost != 0 {
-			t.Fatalf("resent request not deduplicated: %+v", r)
-		}
-	}
-	s.Drain()
-	st := s.Stats()
-	if st.Accepted != st.Complete || st.Deduped != 2 {
-		t.Fatalf("accepted/completed/deduped = %d/%d/%d, want equal accept/complete and 2 deduped",
-			st.Accepted, st.Complete, st.Deduped)
+	if !reflect.DeepEqual(viaHTTP.ObjectStats(), viaDo.ObjectStats()) {
+		t.Fatalf("per-object stats differ:\n  batch %+v\n  do    %+v", viaHTTP.ObjectStats(), viaDo.ObjectStats())
 	}
 }
 

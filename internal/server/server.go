@@ -62,7 +62,9 @@ type Config struct {
 	// Shards is the number of independent shards; fewer than 1 means 1.
 	Shards int
 	// Queue is each shard's mailbox capacity; fewer than 1 means 256.
-	// A full mailbox rejects with Overloaded (admission control).
+	// A full mailbox rejects with Overloaded (admission control). It
+	// bounds queued requests, not waiting callers: an HTTP batch is
+	// admitted whole, one mailbox slot per request.
 	Queue int
 	// Batch caps the number of requests coalesced into one service
 	// round; fewer than 1 means 64.
@@ -450,18 +452,39 @@ func (s *Server) DoTraced(object string, q model.Request, parent tracing.SpanCon
 // (Result.Duplicate) — the crash-safe contract behind the HTTP wire's
 // "seq" field.
 func (s *Server) do(object string, q model.Request, parent tracing.SpanContext, seq uint64) (Result, error) {
+	t, err := s.admit(object, q, parent, seq)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.await(t)
+}
+
+// validate rejects a request that can never enter a schedule.
+func (s *Server) validate(object string, q model.Request) error {
 	if object == "" {
-		return Result{}, fmt.Errorf("server: empty object name")
+		return fmt.Errorf("server: empty object name")
 	}
 	if q.Processor < 0 || int(q.Processor) >= s.cfg.N {
-		return Result{}, fmt.Errorf("server: processor %d outside [0,%d)", q.Processor, s.cfg.N)
+		return fmt.Errorf("server: processor %d outside [0,%d)", q.Processor, s.cfg.N)
 	}
-	var t0 time.Time
-	if s.measure.Load() {
-		t0 = time.Now()
+	return nil
+}
+
+// admit validates one request and enqueues it on its shard's mailbox
+// without waiting for service, returning the in-flight task, or the
+// typed refusal: *Overloaded when the mailbox is full, *Unavailable
+// when the shard has fail-stopped, ErrDraining after Drain begins. An
+// admitted task is always answered, so a caller may admit several
+// before awaiting any; the shard services them in mailbox order.
+func (s *Server) admit(object string, q model.Request, parent tracing.SpanContext, seq uint64) (*task, error) {
+	if err := s.validate(object, q); err != nil {
+		return nil, err
 	}
 	sh := s.shardOf(object)
 	t := &task{object: object, req: q, seq: seq, done: make(chan Result, 1)}
+	if s.measure.Load() {
+		t.admitted = time.Now()
+	}
 	tc := s.cfg.Trace
 	if tc.Enabled() {
 		t.tr = &reqTrace{parent: parent, start: tc.Now()}
@@ -470,12 +493,12 @@ func (s *Server) do(object string, q model.Request, parent tracing.SpanContext, 
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
-		return Result{}, ErrDraining
+		return nil, ErrDraining
 	}
 	if sh.state.Load() == shardFailed {
 		// Fail-stopped: refuse before the request enters any schedule.
 		s.mu.RUnlock()
-		return Result{}, &Unavailable{Shard: sh.id, RetryAfter: failedRetryAfter, Cause: sh.failCause}
+		return nil, &Unavailable{Shard: sh.id, RetryAfter: failedRetryAfter, Cause: sh.failCause}
 	}
 	sh.accepted.Add(1)
 	if t.tr != nil {
@@ -490,6 +513,7 @@ func (s *Server) do(object string, q model.Request, parent tracing.SpanContext, 
 	case sh.mail <- t:
 		s.mu.RUnlock()
 		sh.streak.Store(0)
+		return t, nil
 	default:
 		sh.accepted.Add(^uint64(0))
 		s.mu.RUnlock()
@@ -503,11 +527,18 @@ func (s *Server) do(object string, q model.Request, parent tracing.SpanContext, 
 		if t.tr != nil {
 			s.emitRejected(sh, t, ov)
 		}
-		return Result{}, ov
+		return nil, ov
 	}
+}
+
+// await blocks until an admitted task is answered and records its
+// admission-to-reply latency. A non-nil error is the service error
+// (the request was consumed) or, when the shard fail-stopped after
+// admission, a typed *Unavailable (it was not).
+func (s *Server) await(t *task) (Result, error) {
 	r := <-t.done
-	if !t0.IsZero() {
-		s.latHist.Observe(int64(time.Since(t0) / time.Microsecond))
+	if !t.admitted.IsZero() {
+		s.latHist.Observe(int64(time.Since(t.admitted) / time.Microsecond))
 	}
 	return r, r.Err
 }

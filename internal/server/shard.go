@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"objalloc/internal/diskfault"
 	"objalloc/internal/model"
@@ -37,6 +38,9 @@ type task struct {
 	// task into reprocessing, which must not refund it again or
 	// accepted drifts below completed at drain.
 	refunded bool
+	// admitted is the wall-clock admission time behind the request-
+	// latency histogram; zero while latency is not being measured.
+	admitted time.Time
 }
 
 // refundAdmission hands a task's admission slot back exactly once, so
