@@ -43,12 +43,15 @@ obscheck:
 	go test -race -run 'TestSweepObsDeterminism|TestSearchObsDeterminism' ./internal/competitive
 	go test -race ./internal/obs
 
+# FuzzReplayJournal's first new inputs are slow to minimize: under Go's
+# default 60 s minimization budget one of them eats the whole 10 s run,
+# so that target caps minimization at 1 s.
 fuzzsmoke:
 	go test -run none -fuzz FuzzConfigNormalize -fuzztime 10s ./internal/quorum
 	go test -run none -fuzz FuzzParseFaults -fuzztime 10s ./internal/chaos
 	go test -run none -fuzz FuzzParseDiskFaults -fuzztime 10s ./internal/chaos
 	go test -run none -fuzz FuzzParseAdaptiveSpec -fuzztime 10s ./internal/adaptive
-	go test -run none -fuzz FuzzReplayJournal -fuzztime 10s ./internal/server
+	go test -run none -fuzz FuzzReplayJournal -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 	go test -run none -fuzz FuzzBatchCodec -fuzztime 10s ./internal/server
 
 serve-smoke:

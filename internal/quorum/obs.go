@@ -30,10 +30,10 @@ func (c *Cluster) obsSnap() obsSnapshot {
 // sequential driver. op returns one result attribute appended to the event
 // on success ("seq" for reads/writes, "missed" for recovery).
 func (c *Cluster) observed(o *obs.Obs, kind string, p model.ProcessorID, op func() (obs.Attr, error)) error {
-	c.track.wait()
+	c.track.Wait()
 	before := c.obsSnap()
 	result, err := op()
-	c.track.wait()
+	c.track.Wait()
 	after := c.obsSnap()
 
 	ctl := after.net.ControlSent - before.net.ControlSent

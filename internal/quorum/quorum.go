@@ -146,7 +146,7 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	alive   model.Set
-	track   *tracker
+	track   *netsim.Tracker
 	seqHint uint64 // highest version number the driver has observed
 
 	closeOnce sync.Once
@@ -157,7 +157,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, net: netsim.New(cfg.N), alive: model.FullSet(cfg.N), track: newTracker()}
+	c := &Cluster{cfg: cfg, net: netsim.New(cfg.N), alive: model.FullSet(cfg.N), track: netsim.NewTracker()}
 	if cfg.Faults != nil && cfg.Faults.Active() {
 		if err := c.net.InstallFaults(*cfg.Faults); err != nil {
 			return nil, err
@@ -168,7 +168,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.net.SetObs(cfg.Obs)
 	c.net.Trace(func(_ netsim.Message, delivered bool) {
 		if delivered {
-			c.track.add(1)
+			c.track.Add(1)
 		}
 	})
 	newStore := cfg.NewStore
@@ -336,9 +336,9 @@ func (c *Cluster) perform(n *node, cmd command) (storage.Version, error) {
 // submitTracked hands a command to a node's event loop, accounting it as
 // outstanding work until the handler finishes.
 func (c *Cluster) submitTracked(n *node, cmd command) bool {
-	c.track.add(1)
+	c.track.Add(1)
 	if !n.submit(cmd) {
-		c.track.done()
+		c.track.Done()
 		return false
 	}
 	return true
@@ -348,7 +348,7 @@ func (c *Cluster) submitTracked(n *node, cmd command) bool {
 // held (delayed) messages anywhere in the network.
 func (c *Cluster) settle() {
 	for {
-		c.track.wait()
+		c.track.Wait()
 		if c.net.ReleaseAll() == 0 {
 			return
 		}
@@ -508,42 +508,3 @@ func (c *Cluster) node(p model.ProcessorID) (*node, error) {
 }
 
 var errClusterClosed = errors.New("quorum: cluster closed")
-
-// tracker mirrors sim's quiescence tracker.
-type tracker struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func newTracker() *tracker {
-	t := &tracker{}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
-
-func (t *tracker) add(k int) {
-	t.mu.Lock()
-	t.n += k
-	t.mu.Unlock()
-}
-
-func (t *tracker) done() {
-	t.mu.Lock()
-	t.n--
-	if t.n == 0 {
-		t.cond.Broadcast()
-	}
-	if t.n < 0 {
-		panic("quorum: tracker underflow")
-	}
-	t.mu.Unlock()
-}
-
-func (t *tracker) wait() {
-	t.mu.Lock()
-	for t.n != 0 {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
-}

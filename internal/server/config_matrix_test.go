@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,6 +14,10 @@ import (
 // keep the service's invariants; every combination it accepts must keep
 // accepted == completed at drain and, where a journal exists, live
 // accounting equal to what ReplayDir rebuilds from the journal alone.
+// Under the directory engines, which run with loss and delay faults,
+// every accepted combination must also account exactly like a clean run
+// (no journal, recovery, panic or disk fault) with the same coalescing:
+// crashes and transient disk faults leave the accounting untouched.
 func TestConfigMatrix(t *testing.T) {
 	const (
 		withJournal = 1 << iota
@@ -24,6 +29,7 @@ func TestConfigMatrix(t *testing.T) {
 	)
 	names := []string{"journal", "recover", "panic", "diskfaults", "coalesce"}
 	const objects, perObject, workers = 4, 10, 2
+	clean := map[string]string{} // engine/coalesce → clean run's detStats
 
 	for _, eng := range []Engine{EngineDA, EngineSA, EngineAdaptive, EngineHA} {
 		for set := 0; set < allSets; set++ {
@@ -36,7 +42,7 @@ func TestConfigMatrix(t *testing.T) {
 			name := eng.String() + "/" + strings.Join(parts, "+")
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
-				config := func() Config {
+				config := func(set int) Config {
 					cfg := Config{Shards: 2, N: 4, T: 2, Engine: eng, Seed: 3, CheckpointEvery: 4}
 					if eng != EngineHA {
 						// The HA backend runs real clusters; message faults
@@ -70,7 +76,7 @@ func TestConfigMatrix(t *testing.T) {
 					(set&withDiskFaults != 0 && set&withJournal == 0) ||
 					(eng == EngineHA && set&withJournal != 0) ||
 					(set&withCoalesce != 0 && (eng == EngineHA || eng == EngineAdaptive))
-				cfg := config()
+				cfg := config(set)
 				if err := cfg.Normalize(); refuse != (err != nil) {
 					t.Fatalf("Normalize refused=%t (%v), want refused=%t", err != nil, err, refuse)
 				}
@@ -82,7 +88,7 @@ func TestConfigMatrix(t *testing.T) {
 				if set&withRecover != 0 {
 					// Journal the first half without recovering, so the
 					// recovering server has a real journal to rebuild from.
-					first := config()
+					first := config(set)
 					first.Recover = false
 					s, err := New(first)
 					if err != nil {
@@ -95,7 +101,7 @@ func TestConfigMatrix(t *testing.T) {
 					}
 					from = perObject / 2
 				}
-				s, err := New(config())
+				s, err := New(config(set))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,6 +109,26 @@ func TestConfigMatrix(t *testing.T) {
 				s.Drain()
 				defer s.Close()
 				st := s.Stats()
+				if eng != EngineHA {
+					key := fmt.Sprintf("%s/%d", eng, set&withCoalesce)
+					want, ok := clean[key]
+					if !ok {
+						// The clean run: the same faults and coalescing,
+						// nothing else.
+						cs, err := New(config(set & withCoalesce))
+						if err != nil {
+							t.Fatal(err)
+						}
+						driveRange(t, cs, objects, 0, perObject, workers)
+						cs.Drain()
+						cs.Close()
+						want = detStats(cs.Stats())
+						clean[key] = want
+					}
+					if got := detStats(st); got != want {
+						t.Fatalf("accounting diverges from the clean run:\n  got   %s\n  clean %s", got, want)
+					}
+				}
 				if st.Accepted != st.Complete || st.Complete != objects*perObject {
 					t.Fatalf("accepted %d completed %d, want both %d", st.Accepted, st.Complete, objects*perObject)
 				}
@@ -115,7 +141,7 @@ func TestConfigMatrix(t *testing.T) {
 				if set&withJournal == 0 {
 					return
 				}
-				rp, err := ReplayDir(config())
+				rp, err := ReplayDir(config(set))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,9 +30,9 @@ func opsCounter(s *Server, name string) int64 {
 
 // diskFaultConfig is the battery the disk-fault tests share: journal on,
 // an aggressive checkpoint cadence (every commit round tries one, so a
-// targeted op index can hit a checkpoint write deterministically), no
-// message faults (delay holds would make the checkpoint schedule depend
-// on the draw sequence).
+// targeted op index can hit a checkpoint write deterministically) and
+// no message faults: the disk is the subject here, and the journal op
+// indices depend on the round schedule alone.
 func diskFaultConfig(shards int, dir string) Config {
 	return Config{
 		Shards: shards, N: 6, T: 2,
@@ -157,9 +158,11 @@ func TestDiskFaultFailStop(t *testing.T) {
 	if !resp.Unavailable || resp.Done != 0 || resp.RetryAfterMS <= 0 {
 		t.Errorf("batch reply %+v, want Unavailable with a retry hint and Done 0", resp)
 	}
-	if _, err := c.BatchAll([]WireRequest{{Object: "obj-0", Op: "r", Processor: 0}}, 10); err == nil ||
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.BatchAllCtx(ctx, tracing.SpanContext{}, []WireRequest{{Object: "obj-0", Op: "r", Processor: 0}}); err == nil ||
 		!strings.Contains(err.Error(), "unavailable") {
-		t.Errorf("BatchAll against a failed shard: %v, want a terminal unavailable error", err)
+		t.Errorf("BatchAllCtx against a failed shard: %v, want a terminal unavailable error", err)
 	}
 	code, body := httpGet(t, srv.URL+"/v1/healthz")
 	if code != 503 || !strings.Contains(body, `"status":"failed"`) {

@@ -6,8 +6,10 @@
 // prefixed {"t":"ckpt"...}). Replay restores the latest durable
 // checkpoint into a fresh svcState, then drives each tail record through
 // the live service step itself (svcState.delay, then svcState.serve;
-// see step.go) — so every fault-stream draw, retransmission, coalescing
-// decision and counter is re-derived by the code that made it, and the
+// see step.go). The live shard serves every request in the round it
+// arrives, so the journal holds each object's records in service order
+// and replay re-derives every fault-stream draw, retransmission,
+// coalescing decision and counter with the code that made it: the
 // rebuilt allocation schemes, adaptive-controller windows, fault
 // streams, coalescing tables and accounting are bit-identical to the
 // crashed shard's state as of its last committed round. A record whose
@@ -62,9 +64,9 @@ var ckptPrefix = []byte(`{"t":`)
 // ckptRecord is a shard checkpoint: the complete per-object engine
 // state plus every piece of loop-confined shard state replay would
 // otherwise have to reconstruct from the journal's full history.
-// Checkpoints are only taken when no delay-held task is in flight, so
-// the embedded fault-stream states account exactly for the records
-// preceding the checkpoint.
+// Checkpoints are taken between rounds, after the round's records are
+// committed, so the embedded fault-stream states account exactly for
+// the records preceding the checkpoint.
 type ckptRecord struct {
 	T        string                    `json:"t"` // ckptTag
 	Objects  []multiobject.ObjectState `json:"objects"`
@@ -183,7 +185,7 @@ func (st *svcState) restoreCheckpoint(c *ckptRecord) error {
 }
 
 // replay re-services one journaled record through the live step — the
-// delay draw (its hold length only affected scheduling), then serve —
+// delay draw (which moves no cost), then serve —
 // and checks the outcome against the one the live shard recorded.
 func (st *svcState) replay(rec *reqRecord) error {
 	q, ok := parseOp(rec.Op)

@@ -339,6 +339,77 @@ func TestShardPanicRecovery(t *testing.T) {
 	}
 }
 
+// PanicAfter counts each serviced request once, however long an
+// injected delay it draws: with every request delay-faulted, the fifth
+// request trips the panic, not an earlier one counted twice.
+func TestPanicAfterCountsEachRequestOnce(t *testing.T) {
+	s, err := New(Config{
+		Shards: 1, N: 4, T: 2, Seed: 3,
+		Faults:     &netsim.FaultPlan{Seed: 3, Delay: 1.0, DelayMax: 2},
+		PanicAfter: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 1; i <= 5; i++ {
+		if _, err := s.Do("obj", model.R(model.ProcessorID(i%4))); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		want := uint64(0)
+		if i == 5 {
+			want = 1
+		}
+		if got := s.Stats().PerShard[0].Restarts; got != want {
+			t.Fatalf("after request %d: %d restarts, want %d", i, got, want)
+		}
+	}
+}
+
+// A panic in the middle of a round must carry the round's staged
+// completions back in front of its unprocessed remainder: one object's
+// requests fill the round, so any other order bills them differently.
+func TestPanicMidRoundKeepsObjectOrder(t *testing.T) {
+	reqs := []model.Request{model.W(0), model.R(1), model.R(2), model.W(3), model.R(0), model.R(1), model.W(2), model.R(3)}
+	run := func(panicAfter int64) ([]Result, Stats) {
+		cfg := Config{
+			Shards: 1, N: 4, T: 2, Seed: 3,
+			Faults:     &netsim.FaultPlan{Seed: 5, Loss: 0.2, Delay: 0.3, DelayMax: 3},
+			Retry:      netsim.RetryPolicy{MaxAttempts: 4},
+			Journal:    t.TempDir(),
+			PanicAfter: panicAfter,
+		}
+		s, release := stalledServer(t, cfg)
+		tasks := make([]*task, len(reqs))
+		for i, q := range reqs {
+			var err error
+			if tasks[i], err = s.admit("obj", q, tracing.SpanContext{}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		release() // the whole stream is one round
+		out := make([]Result, len(tasks))
+		for i, tk := range tasks {
+			out[i], _ = s.await(tk)
+		}
+		s.Drain()
+		return out, s.Stats()
+	}
+	want, clean := run(0)
+	got, st := run(4)
+	if st.PerShard[0].Restarts != 1 {
+		t.Fatalf("%d restarts, want the chaos panic's 1", st.PerShard[0].Restarts)
+	}
+	for i := range want {
+		if got[i].Cost != want[i].Cost || got[i].Retransmits != want[i].Retransmits {
+			t.Errorf("request %d: cost %v retransmits %d, clean run %v and %d", i, got[i].Cost, got[i].Retransmits, want[i].Cost, want[i].Retransmits)
+		}
+	}
+	if g, w := detStats(st), detStats(clean); g != w {
+		t.Fatalf("accounting diverges from the clean run:\n  got   %s\n  clean %s", g, w)
+	}
+}
+
 // Per-object sequence numbers make retries idempotent: a seq below the
 // serviced horizon is answered as a zero-cost duplicate, in-process and
 // over the HTTP wire.
@@ -408,9 +479,8 @@ func (p panicOnce) Step(q model.Request) model.Step {
 
 // TestSeqDedupOverHTTP sends a seq-carrying stream through /v1/batch
 // twice — a seq resent inside a batch, then the whole stream resent —
-// and the same stream through do one request at a time. Delay and loss
-// faults hold requests and block their objects' queues behind them, and
-// the journal group-commits each round. Both ways must answer every
+// and the same stream through do one request at a time, under delay
+// and loss faults, while the journal group-commits each round. Both ways must answer every
 // request alike and end with identical stats and per-object accounting:
 // admitting a batch whole changes the scheduling, not the outcome.
 func TestSeqDedupOverHTTP(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,7 +95,10 @@ type Config struct {
 	// Faults, when non-nil, injects deterministic message faults into
 	// every shard: the directory engines draw loss/duplication/delay
 	// from per-object streams, the HA engine installs the plan on each
-	// object's real network.
+	// object's real network. Under the directory engines a delay moves
+	// no cost, since each object is billed from its own request order
+	// alone: the request is served at once and its drawn delay is
+	// reported as the trace's holds and the service_rounds histogram.
 	Faults *netsim.FaultPlan
 	// ShardFaults, when non-nil, overrides Faults per shard (chaos
 	// experiments that stress one shard). Per-shard plans make the
@@ -371,11 +373,9 @@ func New(cfg Config) (*Server, error) {
 func newShard(s *Server, id int, plan *netsim.FaultPlan) (*shard, error) {
 	cfg := &s.cfg
 	sh := &shard{
-		id:      id,
-		srv:     s,
-		mail:    make(chan *task, cfg.Queue),
-		heldObj: make(map[string]bool),
-		blocked: make(map[string][]*task),
+		id:   id,
+		srv:  s,
+		mail: make(chan *task, cfg.Queue),
 
 		depthHist: s.ops.Histogram(fmt.Sprintf("shard%d.queue_depth", id), 0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 		batchHist: s.ops.Histogram(fmt.Sprintf("shard%d.batch_size", id), 1, 2, 4, 8, 16, 32, 64, 128),
@@ -589,10 +589,10 @@ func (s *Server) emitRejected(sh *shard, t *task, ov *Overloaded) {
 }
 
 // Drain gracefully shuts the pipeline down: new requests are refused
-// with ErrDraining, every accepted request (including faulted-delay
-// holds) completes, journals are flushed and fsynced, and the
-// deterministic accounting is emitted into Config.Obs. Drain blocks
-// until the drain is complete and is idempotent.
+// with ErrDraining, every accepted request completes, journals are
+// flushed and fsynced, and the deterministic accounting is emitted into
+// Config.Obs. Drain blocks until the drain is complete and is
+// idempotent.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -831,6 +831,3 @@ func (s *Server) ObjectStats() []multiobject.Stats {
 	}
 	return s.allStats()
 }
-
-// Gosched cooperates with spin-waiting shard loops in tests.
-var gosched = runtime.Gosched

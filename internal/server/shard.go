@@ -25,7 +25,7 @@ type task struct {
 	req    model.Request
 	seq    uint64 // client sequence for idempotent retry; 0 = none
 	done   chan Result
-	holds  int       // rounds spent held by an injected delay
+	holds  int       // rounds of injected delay drawn for the request
 	tr     *reqTrace // tracing state; nil when tracing is off
 	acked  bool      // reply sent; set by the shard goroutine only
 	// reprocessed marks a task whose completion was already traced
@@ -64,12 +64,6 @@ type reqTrace struct {
 	enqueued int64 // after the mailbox accepted the task
 	dequeued int64 // at the shard loop's first touch
 	queueLen int   // mailbox depth at enqueue (left 0 in deterministic mode)
-}
-
-// heldTask is a task held by an injected delay until a release round.
-type heldTask struct {
-	t       *task
-	release uint64
 }
 
 // pendingAck is a completed task whose reply is staged until the
@@ -117,10 +111,6 @@ type shard struct {
 	svcState
 
 	// loop-confined state.
-	round   uint64
-	held    []heldTask
-	heldObj map[string]bool
-	blocked map[string][]*task
 	journal *journalWriter
 	pending []pendingAck // acks staged until the round's commit
 
@@ -166,75 +156,56 @@ type shard struct {
 	restarts atomic.Uint64
 }
 
-// run is the shard's service loop: gather a batch from the mailbox,
-// service it in arrival order, advance one virtual round (releasing due
-// delay-holds), commit the round's journal records and only then send
-// the round's replies — acked implies durable. After the mailbox closes
-// it keeps advancing rounds until every held task has been released —
-// accepted requests never get lost. carry, non-nil after a recovered
-// panic, is the in-flight backlog serviced before any new work. Panics
-// propagate to the supervisor.
+// run is the shard's service loop: block for a task, fill the batch
+// from the mailbox, service it in arrival order, commit the round's
+// journal records and only then send the round's replies — acked
+// implies durable. It returns once the mailbox is closed and empty.
+// carry, non-nil after a recovered panic, is the in-flight backlog
+// serviced before any new work. Panics propagate to the supervisor.
 func (sh *shard) run(carry []*task) {
-	open := true
-	batch := make([]*task, 0, sh.srv.cfg.Batch)
 	if len(carry) > 0 {
-		sh.round++
 		sh.rounds.Add(1)
 		sh.serviceRound(carry)
 	}
-	for open || len(sh.held) > 0 {
+	batch := make([]*task, 0, sh.srv.cfg.Batch)
+	for {
 		if hook := sh.srv.cfg.testBeforeRound; hook != nil {
 			hook(sh.id)
 		}
-		batch = batch[:0]
-		if open && len(sh.held) == 0 {
-			// Idle with nothing held: block for work.
-			t, ok := <-sh.mail
-			if !ok {
-				open = false
-			} else {
-				batch = append(batch, t)
-			}
+		t, ok := <-sh.mail
+		if !ok {
+			return
 		}
-		filling := open
-		for filling && len(batch) < cap(batch) {
+		batch = append(batch[:0], t)
+	fill:
+		for len(batch) < cap(batch) {
 			select {
 			case t, ok := <-sh.mail:
 				if !ok {
-					open = false
-					filling = false
-				} else {
-					batch = append(batch, t)
+					break fill
 				}
+				batch = append(batch, t)
 			default:
-				filling = false
+				break fill
 			}
 		}
-		sh.round++
 		sh.rounds.Add(1)
 		sh.depthHist.Observe(int64(len(sh.mail)))
-		if len(batch) > 0 {
-			sh.batchHist.Observe(int64(len(batch)))
-		}
+		sh.batchHist.Observe(int64(len(batch)))
 		sh.serviceRound(batch)
-		if open && len(sh.held) > 0 && len(batch) == 0 {
-			// Spinning rounds forward to release holds; be polite.
-			gosched()
-		}
 	}
 }
 
-// serviceRound processes one round's batch, releases due holds, commits
-// the journal and flushes the round's staged replies.
+// serviceRound processes one round's batch, commits the journal and
+// flushes the round's staged replies.
 func (sh *shard) serviceRound(batch []*task) {
 	sh.curBatch, sh.curIdx = batch, 0
 	for i, t := range batch {
 		sh.curIdx = i
-		sh.process(t, false)
+		sh.process(t)
 		sh.cur = nil
 	}
 	sh.curBatch, sh.curIdx = nil, 0
-	sh.tickHeld()
 	sh.commit()
 }
 
@@ -265,16 +236,12 @@ func (sh *shard) commit() {
 	}
 }
 
-// checkpoint builds the shard's checkpoint record, or nil when one
-// cannot be taken right now: a delay-held task has consumed fault-
-// stream draws for a record not yet journaled, so a snapshot would
-// desync replay's redraws. An engine that cannot export (custom
-// non-restorable factory) disables checkpointing for good and the
-// journal degrades to full replay.
+// checkpoint builds the shard's checkpoint record. It runs between
+// rounds, when every fault-stream draw so far belongs to a committed
+// record. An engine that cannot export (custom non-restorable factory)
+// returns nil: that disables checkpointing for good and the journal
+// degrades to full replay.
 func (sh *shard) checkpoint() *ckptRecord {
-	if len(sh.held) > 0 {
-		return nil
-	}
 	objs, err := sh.be.exportObjects()
 	if err != nil {
 		sh.journal.ckptDisabled = true
@@ -302,63 +269,14 @@ func (sh *shard) checkpoint() *ckptRecord {
 	return rec
 }
 
-// tickHeld releases every held task whose round has come, in hold order.
-// A released task may immediately re-hold tasks it unblocks; their
-// release rounds are strictly in the future, so the scan terminates.
-func (sh *shard) tickHeld() {
-	for i := 0; i < len(sh.held); {
-		h := sh.held[i]
-		if h.release <= sh.round {
-			sh.held = append(sh.held[:i], sh.held[i+1:]...)
-			sh.releaseHeld(h.t)
-		} else {
-			i++
-		}
-	}
-}
-
-// releaseHeld services a delay-released task, then drains the tasks that
-// queued behind it on the same object — stopping (and leaving the
-// remainder in the blocked map) if one of them draws a delay of its own.
-// The blocked queue is popped one task at a time so a panic mid-drain
-// leaves the untouched remainder where the supervisor can find it.
-func (sh *shard) releaseHeld(t *task) {
-	delete(sh.heldObj, t.object)
-	sh.process(t, true)
-	sh.cur = nil
-	for !sh.heldObj[t.object] {
-		q := sh.blocked[t.object]
-		if len(q) == 0 {
-			delete(sh.blocked, t.object)
-			return
-		}
-		bt := q[0]
-		if len(q) == 1 {
-			delete(sh.blocked, t.object)
-		} else {
-			sh.blocked[t.object] = q[1:]
-		}
-		sh.process(bt, false)
-		sh.cur = nil
-	}
-}
-
-// process services one task: duplicate detection, the delay draw,
-// then the shared service step (serve). released marks a task coming
-// back from a delay hold, which skips the (already drawn) delay fault
-// and the blocked-object check.
-func (sh *shard) process(t *task, released bool) {
+// process services one task: duplicate detection, the chaos panic,
+// the delay draw (reported, not waited out; see svcState.delay), then
+// the shared service step (serve).
+func (sh *shard) process(t *task) {
 	sh.cur = t
 	if t.tr != nil && t.tr.dequeued == 0 {
-		// First shard-loop touch: the queue span ends here. Time spent
-		// blocked behind a delay-held object or held by a delay counts
-		// toward service (annotated via holds).
+		// First shard-loop touch: the queue span ends here.
 		t.tr.dequeued = sh.srv.cfg.Trace.Now()
-	}
-	if !released && sh.heldObj[t.object] {
-		// A delayed task owns this object; preserve per-object order.
-		sh.blocked[t.object] = append(sh.blocked[t.object], t)
-		return
 	}
 	if t.seq != 0 && t.seq < sh.next[t.object] {
 		// A client retry of an already-serviced request (the ack was lost
@@ -377,14 +295,7 @@ func (sh *shard) process(t *task, released bool) {
 			panic(fmt.Sprintf("shard %d: injected chaos panic after %d requests", sh.id, sh.chaosSeen))
 		}
 	}
-	if !released {
-		if d := sh.delay(t.object); d > 0 {
-			t.holds = d
-			sh.held = append(sh.held, heldTask{t: t, release: sh.round + uint64(d)})
-			sh.heldObj[t.object] = true
-			return
-		}
-	}
+	t.holds = sh.delay(t.object)
 	r, a := sh.serve(t.object, t.req, t.seq)
 	sh.finish(t, r, a)
 }
@@ -617,8 +528,7 @@ func (j *journalWriter) commitRecords() error {
 }
 
 // commitCheckpoint appends a checkpoint record durably when the cadence
-// has elapsed and ckpt yields one. A nil ckpt result (held tasks in
-// flight, or a non-restorable engine) just postpones the checkpoint.
+// has elapsed and ckpt yields one (nil: a non-restorable engine).
 func (j *journalWriter) commitCheckpoint(ckpt func() *ckptRecord) error {
 	if j.every <= 0 || j.ckptDisabled || j.sinceCkpt < j.every || ckpt == nil {
 		return nil

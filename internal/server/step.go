@@ -75,9 +75,12 @@ func (st *svcState) stream(object string) *uint64 {
 	return s
 }
 
-// delay draws the request's delay fault: the number of rounds it is
-// held, or 0 when it is serviced now. It is drawn once per request,
-// before serve; a held request is served on release without a redraw.
+// delay draws the request's delay fault: the number of virtual rounds
+// of delay, or 0. It is drawn once per request, before serve, so the
+// object's fault stream stays in step between live service and replay.
+// The directory engines bill each object from its own request order
+// alone, so the delay moves no cost: the request is served at once and
+// the draw is only reported (the task's holds, the span's Holds field).
 func (st *svcState) delay(object string) int {
 	s := st.stream(object)
 	if s == nil || st.faults.Delay <= 0 || splitmix.Float01(s) >= st.faults.Delay {

@@ -13,7 +13,6 @@ package server
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"objalloc/internal/tracing"
@@ -190,57 +189,24 @@ func (sh *shard) failTask(t *task, err error) {
 // collectInflight gathers every unacked task after a recovered panic,
 // in an order that preserves each object's arrival order: staged-but-
 // uncommitted completions first (they arrived earliest), then the
-// panicking task and the queue blocked behind its object, then held
-// tasks and their blocked queues in hold order, then any orphaned
-// blocked queues, then the unprocessed remainder of the round's batch.
-// It also resets the loop-confined queues; recoverState rebuilds the
-// rest of the shard's state from the journal.
+// unprocessed remainder of the round's batch, starting with the
+// panicking task. It also resets the loop-confined round state;
+// recoverState rebuilds the rest of the shard's state from the journal.
 func (sh *shard) collectInflight() []*task {
-	seen := make(map[*task]bool)
 	var out []*task
-	add := func(t *task) {
-		if t == nil || t.acked || seen[t] {
-			return
-		}
-		seen[t] = true
-		out = append(out, t)
-	}
 	for _, p := range sh.pending {
 		// A staged completion already emitted its spans; the retry will
 		// re-emit them tagged "reprocessed".
 		p.t.reprocessed = true
-		add(p.t)
+		out = append(out, p.t)
 	}
-	if sh.cur != nil {
-		add(sh.cur)
-		for _, bt := range sh.blocked[sh.cur.object] {
-			add(bt)
+	for _, t := range sh.curBatch[sh.curIdx:] {
+		if !t.acked {
+			out = append(out, t)
 		}
-	}
-	for _, h := range sh.held {
-		add(h.t)
-		for _, bt := range sh.blocked[h.t.object] {
-			add(bt)
-		}
-	}
-	objs := make([]string, 0, len(sh.blocked))
-	for obj := range sh.blocked {
-		objs = append(objs, obj)
-	}
-	sort.Strings(objs)
-	for _, obj := range objs {
-		for _, bt := range sh.blocked[obj] {
-			add(bt)
-		}
-	}
-	for i := sh.curIdx; i < len(sh.curBatch); i++ {
-		add(sh.curBatch[i])
 	}
 	sh.pending = sh.pending[:0]
 	sh.cur, sh.curBatch, sh.curIdx = nil, nil, 0
-	sh.held = nil
-	sh.heldObj = make(map[string]bool)
-	sh.blocked = make(map[string][]*task)
 	return out
 }
 

@@ -172,7 +172,7 @@ func (n *node) loop() {
 			return
 		case cmd := <-n.cmds:
 			n.handleCommand(cmd)
-			n.c.track.done()
+			n.c.track.Done()
 		case m, ok := <-n.msgs:
 			if !ok {
 				return
@@ -181,7 +181,7 @@ func (n *node) loop() {
 			if m.Type != netsim.TNack {
 				// TNack bounces are synthetic (untraced, untracked);
 				// everything else was counted at delivery.
-				n.c.track.done()
+				n.c.track.Done()
 			}
 		}
 	}

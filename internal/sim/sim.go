@@ -138,7 +138,7 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	nextSeq uint64 // write sequencer (the concurrency-control total order)
-	track   *tracker
+	track   *netsim.Tracker
 
 	closeOnce sync.Once
 }
@@ -154,7 +154,7 @@ func New(cfg Config) (*Cluster, error) {
 	if firstSeq == 0 {
 		firstSeq = 1
 	}
-	c := &Cluster{cfg: cfg, net: netsim.New(cfg.N), track: newTracker(), nextSeq: firstSeq}
+	c := &Cluster{cfg: cfg, net: netsim.New(cfg.N), track: netsim.NewTracker(), nextSeq: firstSeq}
 	if cfg.Faults != nil && cfg.Faults.Active() {
 		if err := c.net.InstallFaults(*cfg.Faults); err != nil {
 			return nil, err
@@ -173,7 +173,7 @@ func New(cfg Config) (*Cluster, error) {
 	// handler finishes.
 	c.net.Trace(func(_ netsim.Message, delivered bool) {
 		if delivered {
-			c.track.add(1)
+			c.track.Add(1)
 		}
 	})
 
@@ -267,9 +267,9 @@ func (c *Cluster) Read(p model.ProcessorID) (storage.Version, error) {
 // submitTracked hands a command to a node's event loop, accounting it as
 // outstanding work until the handler finishes.
 func (c *Cluster) submitTracked(n *node, cmd command) bool {
-	c.track.add(1)
+	c.track.Add(1)
 	if !n.submit(cmd) {
-		c.track.done()
+		c.track.Done()
 		return false
 	}
 	return true
@@ -339,7 +339,7 @@ func (c *Cluster) flushOutboxes() error {
 // messages can spawn new work, so the two alternate to a fixpoint.
 func (c *Cluster) settle() {
 	for {
-		c.track.wait()
+		c.track.Wait()
 		if c.net.ReleaseAll() == 0 {
 			return
 		}
@@ -566,45 +566,4 @@ func (c *Cluster) node(p model.ProcessorID) (*node, error) {
 		return nil, fmt.Errorf("sim: unknown processor %d", p)
 	}
 	return c.nodes[p], nil
-}
-
-// tracker counts outstanding work items (delivered-but-unprocessed messages
-// and in-flight driver commands) so the driver can wait for the system to
-// quiesce.
-type tracker struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func newTracker() *tracker {
-	t := &tracker{}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
-
-func (t *tracker) add(k int) {
-	t.mu.Lock()
-	t.n += k
-	t.mu.Unlock()
-}
-
-func (t *tracker) done() {
-	t.mu.Lock()
-	t.n--
-	if t.n == 0 {
-		t.cond.Broadcast()
-	}
-	if t.n < 0 {
-		panic("sim: tracker underflow")
-	}
-	t.mu.Unlock()
-}
-
-func (t *tracker) wait() {
-	t.mu.Lock()
-	for t.n != 0 {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
 }

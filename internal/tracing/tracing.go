@@ -225,7 +225,7 @@ type Span struct {
 	Data      int   `json:"data,omitempty"`
 	IO        int   `json:"io,omitempty"`
 	// Retransmits and Holds annotate injected faults: lost attempts
-	// retried, and virtual rounds spent held by an injected delay.
+	// retried, and rounds of injected delay drawn.
 	Retransmits int `json:"retransmits,omitempty"`
 	Holds       int `json:"holds,omitempty"`
 	// QueueLen is the mailbox depth observed at enqueue (queue spans;
